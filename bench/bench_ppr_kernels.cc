@@ -1,56 +1,40 @@
-// CSR push kernels vs legacy dense-reset engines: the perf claim behind the
-// workspace layer (docs/performance.md), measured and ASSERTED.
+// Workspace push kernels vs the dense reference engines: the perf claim
+// behind the workspace layer (docs/performance.md), measured and ASSERTED.
+// "legacy" in row and metric names is the dense reference: `ForwardPush`,
+// `ReversePush` and the no-workspace `DynamicForwardPush` refine, which no
+// option selects any more but which the kernels must reproduce.
 //
 // Two workloads on a medium synthetic Amazon graph:
 //   static  — full pushes (forward from users, reverse toward items) at a
-//             sweep of epsilons; the kernel replays the legacy schedule on
-//             epoch-stamped sparse state instead of freshly zeroed arrays.
-//             Informational: these pushes saturate the graph (touched ≈ n),
-//             where both engines do the same O(n+work) and land at parity.
+//             sweep of epsilons; the kernel replays the reference schedule
+//             on epoch-stamped sparse state instead of freshly zeroed
+//             arrays. Informational: these pushes saturate the graph
+//             (touched ≈ n), so the kernel has no O(n) reset to save and
+//             these rows may run below 1.0x; the report says so.
 //   repair  — the candidate-TEST cycle the explain pipeline actually runs:
 //             remove / re-add a user edge and repair the dynamic push state,
-//             swept over epsilons. Legacy refine pays an O(n) seed scan plus
-//             a dense queued array PER CANDIDATE; the sparse refine seeds
-//             from the repaired row only, so where repairs are local it must
-//             win outright.
-//
-// Both workloads also race the kFast engine (PushEngine::kFast): residual-
-// priority forward scheduling and, on the reverse rows, ONE batched
-// multi-target push producing all target columns in a shared traversal.
-// kFast gives up bitwise identity, so its correctness oracle is the
-// schedule-independent Eq. 3/4 validators plus run-to-run determinism.
+//             swept over epsilons. The reference refine pays an O(n) seed
+//             scan plus a dense queued array PER CANDIDATE; the sparse
+//             refine seeds from the repaired row only, so where repairs are
+//             local it must win outright.
 //
 // The guarantees are checked, not just reported — any violation exits 1:
-//   1. Bitwise equality: kernel estimates equal the legacy engine's bit for
-//      bit on every workload (same schedule, same float-op order). kFast
-//      states instead pass the Eq. 3/4 invariant validators and are
-//      deterministic across repeated runs.
+//   1. Bitwise equality: kernel estimates and residuals equal the dense
+//      reference's bit for bit on every workload (same schedule, same
+//      float-op order), static pushes and dynamic repairs alike.
 //   2. Zero O(n) work after warm-up: no dense reset once the workspace
 //      reached graph size, and the touched-node counter stays far below
 //      begins * n.
 //   3. The kernel path is strictly faster on the local-repair rows and their
-//      aggregate (the per-candidate O(n) this layer deletes), never beyond
-//      noise of legacy on push-bound rows, and swapping engines changes no
-//      explanation output. The kFast path is strictly faster than legacy
-//      where its schedule freedom actually pays on graphs this size: the
-//      batched reverse row at the tightest epsilon (one shared traversal
-//      for all target columns — the TEST loop's workload) and the
-//      local-repair rows. On the remaining static rows kFast does 10-16%
-//      fewer pushes (asserted below) but the rows are memory-bound: the
-//      legacy dense engine is cache-resident at this graph size and the
-//      priority frontier's constant factors exceed the work saved, so those
-//      rows carry a bounded-overhead guard instead of a win claim (see
-//      docs/performance.md for the full contract).
+//      aggregate (the per-candidate O(n) this layer deletes), and within
+//      noise of the reference on the push-bound repair rows.
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "check/invariants.h"
 #include "common.h"
-#include "eval/scenario.h"
-#include "explain/emigre.h"
 #include "obs/metrics.h"
 #include "ppr/dynamic.h"
 #include "ppr/forward_push.h"
@@ -70,15 +54,10 @@ struct SweepRow {
   std::string label;
   double legacy_seconds = 0.0;
   double kernel_seconds = 0.0;
-  double fast_seconds = 0.0;
-  size_t work = 0;       ///< pushes (static rows) or repairs (repair row)
-  size_t fast_work = 0;  ///< kFast pushes (column pushes on reverse rows)
+  size_t work = 0;  ///< pushes (static rows) or repairs (repair row)
 
   double Speedup() const {
     return kernel_seconds > 0.0 ? legacy_seconds / kernel_seconds : 1.0;
-  }
-  double FastSpeedup() const {
-    return fast_seconds > 0.0 ? legacy_seconds / fast_seconds : 1.0;
   }
 };
 
@@ -103,7 +82,8 @@ int main() {
     config.gen.num_items = 24000;
     config.gen.num_categories = 96;
   }
-  bench::PrintBenchHeader("CSR push kernels vs legacy dense engines", config);
+  bench::PrintBenchHeader("workspace push kernels vs dense reference",
+                          config);
 
   auto lite = bench::BuildBenchGraph(config);
   lite.status().CheckOK();
@@ -133,7 +113,7 @@ int main() {
   ppr::PprOptions base_ppr;
 
   // Correctness pass (also warms the workspace up to graph size): every
-  // swept (epsilon, endpoint) must match the legacy engine bit for bit.
+  // swept (epsilon, endpoint) must match the dense reference bit for bit.
   for (double eps : epsilons) {
     ppr::PprOptions opts = base_ppr;
     opts.epsilon = eps;
@@ -142,7 +122,7 @@ int main() {
       if (!BitwiseEqual(ppr::ExportDensePush(ws, n, kr.residual_mass),
                         ppr::ForwardPush(g, s, opts))) {
         std::fprintf(stderr,
-                     "EQUIVALENCE VIOLATION: forward kernel != legacy "
+                     "EQUIVALENCE VIOLATION: forward kernel != reference "
                      "(source %u, eps %g)\n", s, eps);
         ok = false;
       }
@@ -152,68 +132,8 @@ int main() {
       if (!BitwiseEqual(ppr::ExportDensePush(ws, n, kr.residual_mass),
                         ppr::ReversePush(g, t, opts))) {
         std::fprintf(stderr,
-                     "EQUIVALENCE VIOLATION: reverse kernel != legacy "
+                     "EQUIVALENCE VIOLATION: reverse kernel != reference "
                      "(target %u, eps %g)\n", t, eps);
-        ok = false;
-      }
-    }
-  }
-
-  // kFast correctness: no bitwise claim against the other engines — the
-  // schedule-independent Eq. 3/4 validators are the oracle — plus
-  // determinism (two runs of the same push export identical states).
-  for (double eps : epsilons) {
-    ppr::PprOptions opts = base_ppr;
-    opts.epsilon = eps;
-    for (graph::NodeId s : sources) {
-      ppr::KernelResult kr = ppr::ForwardPushKernelFast(g, s, opts, ws);
-      ppr::PushResult state = ppr::ExportDensePush(ws, n, kr.residual_mass);
-      Status st = check::ValidateForwardPushInvariant(g, s, state, opts);
-      if (!st.ok()) {
-        std::fprintf(stderr,
-                     "INVARIANT VIOLATION: kFast forward push (source %u, "
-                     "eps %g): %s\n", s, eps, st.ToString().c_str());
-        ok = false;
-      }
-      ppr::KernelResult kr2 = ppr::ForwardPushKernelFast(g, s, opts, ws);
-      if (!BitwiseEqual(state, ppr::ExportDensePush(ws, n,
-                                                    kr2.residual_mass))) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: kFast forward push not "
-                     "reproducible (source %u, eps %g)\n", s, eps);
-        ok = false;
-      }
-    }
-    for (graph::NodeId t : targets) {
-      ppr::KernelResult kr = ppr::ReversePushKernelFast(g, t, opts, ws);
-      Status st = check::ValidateReversePushInvariant(
-          g, t, ppr::ExportDensePush(ws, n, kr.residual_mass), opts);
-      if (!st.ok()) {
-        std::fprintf(stderr,
-                     "INVARIANT VIOLATION: kFast reverse push (target %u, "
-                     "eps %g): %s\n", t, eps, st.ToString().c_str());
-        ok = false;
-      }
-    }
-    // Batched columns: every column must independently satisfy Eq. 4, and
-    // the batch must be deterministic across runs.
-    std::vector<ppr::PushResult> dense_a, dense_b;
-    ppr::ReversePushBatchKernel(g, targets, opts, ws, nullptr, &dense_a);
-    ppr::ReversePushBatchKernel(g, targets, opts, ws, nullptr, &dense_b);
-    for (size_t c = 0; c < targets.size(); ++c) {
-      Status st = check::ValidateReversePushInvariant(g, targets[c],
-                                                      dense_a[c], opts);
-      if (!st.ok()) {
-        std::fprintf(stderr,
-                     "INVARIANT VIOLATION: batched reverse column (target "
-                     "%u, eps %g): %s\n", targets[c], eps,
-                     st.ToString().c_str());
-        ok = false;
-      }
-      if (!BitwiseEqual(dense_a[c], dense_b[c])) {
-        std::fprintf(stderr,
-                     "DETERMINISM VIOLATION: batched reverse column not "
-                     "reproducible (target %u, eps %g)\n", targets[c], eps);
         ok = false;
       }
     }
@@ -226,7 +146,7 @@ int main() {
   const size_t touched_before = ws.stats().touched_total;
 
   std::vector<SweepRow> rows;
-  double legacy_total = 0.0, kernel_total = 0.0, fast_total = 0.0;
+  double legacy_total = 0.0, kernel_total = 0.0;
   for (double eps : epsilons) {
     ppr::PprOptions opts = base_ppr;
     opts.epsilon = eps;
@@ -256,18 +176,6 @@ int main() {
                                           timer.ElapsedSeconds());
       timer.Reset();
       for (size_t r = 0; r < reps; ++r) {
-        for (graph::NodeId s : sources) {
-          size_t pushes = ppr::ForwardPushKernelFast(g, s, opts, ws).pushes;
-          if (round == 0) fwd.fast_work += pushes;
-        }
-      }
-      fwd.fast_seconds = round == 0
-                             ? timer.ElapsedSeconds()
-                             : std::min(fwd.fast_seconds,
-                                        timer.ElapsedSeconds());
-
-      timer.Reset();
-      for (size_t r = 0; r < reps; ++r) {
         for (graph::NodeId t : targets) ppr::ReversePush(g, t, opts);
       }
       rev.legacy_seconds = round == 0
@@ -285,88 +193,25 @@ int main() {
                                ? timer.ElapsedSeconds()
                                : std::min(rev.kernel_seconds,
                                           timer.ElapsedSeconds());
-      // The kFast reverse leg produces the same per-target columns as the
-      // 8 independent pushes above, but through one batched traversal —
-      // the amortization the TEST pipeline's repeated PPR(·, t) fetches
-      // exploit via ReversePushCache::GetBatch.
-      timer.Reset();
-      for (size_t r = 0; r < reps; ++r) {
-        ppr::BatchPushStats stats;
-        ppr::ReversePushBatchKernel(g, targets, opts, ws, &stats);
-        if (round == 0) rev.fast_work += stats.column_pushes;
-      }
-      rev.fast_seconds = round == 0
-                             ? timer.ElapsedSeconds()
-                             : std::min(rev.fast_seconds,
-                                        timer.ElapsedSeconds());
-    }
-
-    // kFast perf contract on the static rows. The win claim lives where
-    // the schedule freedom pays at this graph size: the batched reverse
-    // row at the tightest swept epsilon, where ONE shared traversal
-    // produces every target column and the push volume dwarfs the
-    // per-batch setup — strictly faster than the 8 legacy pushes it
-    // replaces. The other static rows are memory-bound (the legacy dense
-    // engine is cache-resident here), so they carry a bounded-overhead
-    // guard plus a work assertion: the priority schedule must still do
-    // strictly fewer pushes than FIFO wherever the row is push-heavy
-    // enough for the order to matter (the scheduling claim, independent
-    // of constant factors).
-    const bool tightest = eps == epsilons.back();
-    if (tightest && rev.fast_seconds >= rev.legacy_seconds) {
-      std::fprintf(stderr,
-                   "PERF VIOLATION: kFast batched reverse (%.4fs) not "
-                   "faster than legacy (%.4fs) at eps %g\n",
-                   rev.fast_seconds, rev.legacy_seconds, eps);
-      ok = false;
-    }
-    if (fwd.fast_seconds > fwd.legacy_seconds * 2.0) {
-      std::fprintf(stderr,
-                   "PERF VIOLATION: kFast forward overhead beyond bound "
-                   "(%.4fs vs legacy %.4fs at eps %g)\n",
-                   fwd.fast_seconds, fwd.legacy_seconds, eps);
-      ok = false;
-    }
-    if (rev.fast_seconds > rev.legacy_seconds * 2.0) {
-      std::fprintf(stderr,
-                   "PERF VIOLATION: kFast batched reverse overhead beyond "
-                   "bound (%.4fs vs legacy %.4fs at eps %g)\n",
-                   rev.fast_seconds, rev.legacy_seconds, eps);
-      ok = false;
-    }
-    if (eps <= 1e-5 && fwd.fast_work >= fwd.work) {
-      std::fprintf(stderr,
-                   "WORK VIOLATION: kFast forward pushes (%zu) not below "
-                   "FIFO kernel pushes (%zu) at eps %g\n",
-                   fwd.fast_work, fwd.work, eps);
-      ok = false;
-    }
-    if (eps <= 1e-5 && rev.fast_work >= rev.work) {
-      std::fprintf(stderr,
-                   "WORK VIOLATION: kFast batched column pushes (%zu) not "
-                   "below per-target kernel pushes (%zu) at eps %g\n",
-                   rev.fast_work, rev.work, eps);
-      ok = false;
     }
 
     legacy_total += fwd.legacy_seconds + rev.legacy_seconds;
     kernel_total += fwd.kernel_seconds + rev.kernel_seconds;
-    fast_total += fwd.fast_seconds + rev.fast_seconds;
     rows.push_back(fwd);
     rows.push_back(rev);
   }
 
   // The candidate-TEST repair cycle, on separate mutable copies so both
-  // engines see identical adjacency orders (HinGraph re-adds append).
+  // paths see identical adjacency orders (HinGraph re-adds append).
   //
-  // Swept over epsilons because the engines differ in the O(n) part, not
-  // the push part. At moderate epsilon a repair is LOCAL — a handful of
-  // pushes — so legacy refine's O(n) seed scan and per-repair dense
-  // `queued` allocation dominate its cost, and the sparse refine (seeded
-  // from the repaired row on the reusable ring) must win outright. Those
-  // rows carry the strict perf assertion; this is exactly the per-candidate
-  // O(n) the kernel layer deletes. At the tight eval epsilon the repair is
-  // re-push-bound (both engines execute the bitwise-identical schedule), so
+  // Swept over epsilons because the paths differ in the O(n) part, not the
+  // push part. At moderate epsilon a repair is LOCAL — a handful of pushes —
+  // so the reference refine's O(n) seed scan and per-repair dense `queued`
+  // allocation dominate its cost, and the sparse refine (seeded from the
+  // repaired row on the reusable ring) must win outright. Those rows carry
+  // the strict perf assertion; this is exactly the per-candidate O(n) the
+  // kernel layer deletes. At the tight eval epsilon the repair is
+  // re-push-bound (both paths execute the bitwise-identical schedule), so
   // that row is context only, guarded against gross regression.
   double repair_legacy_asserted = 0.0, repair_kernel_asserted = 0.0;
   {
@@ -386,13 +231,11 @@ int main() {
       opts.epsilon = eps;
 
       SweepRow rep{StrFormat("repair eps=%g", eps)};
-      std::vector<std::vector<double>> final_legacy, final_kernel;
+      // Final (estimate, residual) states per source, per path.
+      std::vector<ppr::PushResult> final_states[2];
       for (size_t round = 0; round < rounds; ++round) {
-        for (int engine = 0; engine < 3; ++engine) {
-          bool kernel = engine == 1;
-          bool fast = engine == 2;
-          ppr::PprOptions dyn_opts = opts;
-          if (fast) dyn_opts.engine = ppr::PushEngine::kFast;
+        for (int path = 0; path < 2; ++path) {
+          const bool kernel = path == 1;
           graph::HinGraph mg = g;
           WallTimer timer;
           double seconds = 0.0;
@@ -406,50 +249,33 @@ int main() {
             if (row.size() > 8) row.resize(8);
             timer.Reset();
             ppr::DynamicForwardPush<graph::HinGraph> dyn(
-                mg, u, dyn_opts, engine > 0 ? &ws : nullptr);
+                mg, u, opts, kernel ? &ws : nullptr);
             for (size_t r = 0; r < repair_reps; ++r) {
               for (const graph::Edge& e : row) {
                 dyn.BeforeOutEdgeChange(u);
                 mg.RemoveEdge(u, e.node, e.type).CheckOK();
                 dyn.AfterOutEdgeChange(u);
-                if (kernel && round == 0) rep.work += 1;
                 dyn.BeforeOutEdgeChange(u);
                 mg.AddEdge(u, e.node, e.type, e.weight).CheckOK();
                 dyn.AfterOutEdgeChange(u);
-                if (kernel && round == 0) rep.work += 1;
+                if (kernel && round == 0) rep.work += 2;
               }
             }
             seconds += timer.ElapsedSeconds();
-            if (round == 0) {
-              if (fast) {
-                // kFast repairs carry no bitwise claim; the Eq. 3 validator
-                // is the oracle on the repaired-to-convergence state.
-                Status st = check::ValidateForwardPushInvariant(
-                    mg, u, dyn.State(), dyn_opts);
-                if (!st.ok()) {
-                  std::fprintf(stderr,
-                               "INVARIANT VIOLATION: kFast repair state "
-                               "(source %u, eps %g): %s\n", u, eps,
-                               st.ToString().c_str());
-                  ok = false;
-                }
-              } else {
-                (kernel ? final_kernel : final_legacy)
-                    .push_back(dyn.Estimates());
-              }
-            }
+            if (round == 0) final_states[path].push_back(dyn.State());
           }
-          double& best = fast ? rep.fast_seconds
-                              : kernel ? rep.kernel_seconds
-                                       : rep.legacy_seconds;
+          double& best = kernel ? rep.kernel_seconds : rep.legacy_seconds;
           best = round == 0 ? seconds : std::min(best, seconds);
         }
       }
-      if (final_legacy != final_kernel) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE VIOLATION: dynamic repair states diverged "
-                     "between engines (eps %g)\n", eps);
-        ok = false;
+      for (size_t si = 0; si < final_states[0].size(); ++si) {
+        if (!BitwiseEqual(final_states[0][si], final_states[1][si])) {
+          std::fprintf(stderr,
+                       "EQUIVALENCE VIOLATION: sparse repair state != "
+                       "reference refine (source %u, eps %g)\n",
+                       sources[si], eps);
+          ok = false;
+        }
       }
       if (asserted) {
         repair_legacy_asserted += rep.legacy_seconds;
@@ -457,43 +283,21 @@ int main() {
         if (rep.kernel_seconds >= rep.legacy_seconds) {
           std::fprintf(stderr,
                        "PERF VIOLATION: sparse repair (%.4fs) not faster "
-                       "than legacy O(n) refine (%.4fs) at eps %g\n",
+                       "than the reference O(n) refine (%.4fs) at eps %g\n",
                        rep.kernel_seconds, rep.legacy_seconds, eps);
           ok = false;
         }
-        if (rep.fast_seconds >= rep.legacy_seconds) {
-          // Same O(row + pushes)-vs-O(n) claim as the kernel engine: the
-          // priority frontier must not give the per-candidate win back.
-          std::fprintf(stderr,
-                       "PERF VIOLATION: kFast repair (%.4fs) not faster "
-                       "than legacy O(n) refine (%.4fs) at eps %g\n",
-                       rep.fast_seconds, rep.legacy_seconds, eps);
-          ok = false;
-        }
-      } else {
-        if (rep.kernel_seconds > rep.legacy_seconds * 1.25) {
-          // Push-bound row: identical schedules, so anything beyond noise
-          // is kernel bookkeeping overhead creeping into the per-edge path.
-          std::fprintf(stderr,
-                       "PERF VIOLATION: push-bound repair regressed beyond "
-                       "noise (kernel %.4fs vs legacy %.4fs at eps %g)\n",
-                       rep.kernel_seconds, rep.legacy_seconds, eps);
-          ok = false;
-        }
-        if (rep.fast_seconds > rep.legacy_seconds * 1.5) {
-          // kFast re-push cascades pay the priority frontier's per-edge
-          // constants where repairs are re-push-bound; bounded, slightly
-          // wider than the kernel's noise guard.
-          std::fprintf(stderr,
-                       "PERF VIOLATION: push-bound repair regressed beyond "
-                       "bound (kFast %.4fs vs legacy %.4fs at eps %g)\n",
-                       rep.fast_seconds, rep.legacy_seconds, eps);
-          ok = false;
-        }
+      } else if (rep.kernel_seconds > rep.legacy_seconds * 1.25) {
+        // Push-bound row: identical schedules, so anything beyond noise is
+        // kernel bookkeeping overhead creeping into the per-edge path.
+        std::fprintf(stderr,
+                     "PERF VIOLATION: push-bound repair regressed beyond "
+                     "noise (kernel %.4fs vs reference %.4fs at eps %g)\n",
+                     rep.kernel_seconds, rep.legacy_seconds, eps);
+        ok = false;
       }
       legacy_total += rep.legacy_seconds;
       kernel_total += rep.kernel_seconds;
-      fast_total += rep.fast_seconds;
       rows.push_back(rep);
     }
   }
@@ -516,10 +320,8 @@ int main() {
     ok = false;
   }
 
-  TextTable table(
-      {"workload", "legacy", "kernel", "fast", "speedup", "fast-spd", "work",
-       "fast-work"});
-  for (size_t c = 1; c < 8; ++c) table.SetAlign(c, Align::kRight);
+  TextTable table({"workload", "reference", "kernel", "speedup", "work"});
+  for (size_t c = 1; c < 5; ++c) table.SetAlign(c, Align::kRight);
   for (const SweepRow& row : rows) {
     std::string tag = row.label;
     std::replace(tag.begin(), tag.end(), ' ', '.');
@@ -532,23 +334,14 @@ int main() {
     obs::Registry::Global()
         .GetGauge("bench.ppr_kernels." + tag + ".speedup")
         .Set(row.Speedup());
-    obs::Registry::Global()
-        .GetGauge("bench.ppr_kernels." + tag + ".fast_seconds")
-        .Set(row.fast_seconds);
-    obs::Registry::Global()
-        .GetGauge("bench.ppr_kernels." + tag + ".fast_speedup")
-        .Set(row.FastSpeedup());
     table.AddRow({row.label, FormatDuration(row.legacy_seconds),
                   FormatDuration(row.kernel_seconds),
-                  FormatDuration(row.fast_seconds),
                   FormatDouble(row.Speedup(), 2) + "x",
-                  FormatDouble(row.FastSpeedup(), 2) + "x",
-                  std::to_string(row.work), std::to_string(row.fast_work)});
+                  std::to_string(row.work)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
   double overall = kernel_total > 0.0 ? legacy_total / kernel_total : 1.0;
-  double fast_overall = fast_total > 0.0 ? legacy_total / fast_total : 1.0;
   double repair_speedup = repair_kernel_asserted > 0.0
                               ? repair_legacy_asserted / repair_kernel_asserted
                               : 1.0;
@@ -556,90 +349,24 @@ int main() {
       .GetGauge("bench.ppr_kernels.overall_speedup")
       .Set(overall);
   obs::Registry::Global()
-      .GetGauge("bench.ppr_kernels.fast_overall_speedup")
-      .Set(fast_overall);
-  obs::Registry::Global()
       .GetGauge("bench.ppr_kernels.repair_speedup")
       .Set(repair_speedup);
-  std::printf("overall: legacy %s, kernel %s (%.2fx), fast %s (%.2fx); "
-              "candidate-TEST repair %.2fx; %zu nodes touched across %zu "
-              "workspace pushes on a %zu-node graph\n",
+  std::printf("overall: reference %s, kernel %s (%.2fx); candidate-TEST "
+              "repair %.2fx; %zu nodes touched across %zu workspace pushes "
+              "on a %zu-node graph\n",
               FormatDuration(legacy_total).c_str(),
-              FormatDuration(kernel_total).c_str(), overall,
-              FormatDuration(fast_total).c_str(), fast_overall,
-              repair_speedup, touched, begins, n);
+              FormatDuration(kernel_total).c_str(), overall, repair_speedup,
+              touched, begins, n);
   // The asserted aggregate is the candidate-TEST repair workload (the rows
-  // where the engines differ by an O(n) term); the all-workload total above
-  // is informational — the push-saturated static rows are schedule-identical
-  // by construction and land at parity.
+  // where the paths differ by an O(n) term); the all-workload total above is
+  // informational.
   if (repair_kernel_asserted >= repair_legacy_asserted) {
     std::fprintf(stderr,
                  "PERF VIOLATION: kernel repair aggregate (%.4fs) not faster "
-                 "than legacy (%.4fs)\n",
+                 "than the reference (%.4fs)\n",
                  repair_kernel_asserted, repair_legacy_asserted);
     ok = false;
   }
-
-  // Engine swap must be invisible in explanation outputs: same candidates
-  // accepted, same edges, same failure reasons.
-  auto scenarios = eval::GenerateScenarios(
-      g, lite->eval_users, bench::MakeEmigreOptions(config, *lite),
-      config.top_k, config.max_per_user);
-  scenarios.status().CheckOK();
-  explain::EmigreOptions legacy_opts = bench::MakeEmigreOptions(config, *lite);
-  legacy_opts.rec.ppr.engine = ppr::PushEngine::kLegacy;
-  legacy_opts.deadline_seconds = 0.0;  // deterministic: no wall-clock cutoffs
-  // With the deadline off the search needs a deterministic bound instead —
-  // identical for both engines, so a capped attempt fails identically too.
-  // The exact tester keeps the comparison bitwise: every TEST re-runs the
-  // recommender on the same pristine-ordered graph state under either
-  // engine. (The dynamic tester is ε-accurate, not bitwise, across engines:
-  // its legacy scratch graph re-appends reverted edges, permuting adjacency
-  // — and thus float summation — order, while the overlay restores base
-  // order exactly, so near-ties may resolve differently.)
-  legacy_opts.max_tests = 60;
-  legacy_opts.max_add_candidates = 32;
-  legacy_opts.tester = explain::TesterKind::kExact;
-  explain::EmigreOptions kernel_opts = legacy_opts;
-  kernel_opts.rec.ppr.engine = ppr::PushEngine::kKernel;
-  // kFast reorders float ops inside the ε-approximate candidate derivation,
-  // but the exact tester's verdicts (power iteration on the same graph
-  // state) and the deterministic candidate ordering keep the explanation
-  // outputs engine-invariant; asserted here across all three engines.
-  explain::EmigreOptions fast_opts = legacy_opts;
-  fast_opts.rec.ppr.engine = ppr::PushEngine::kFast;
-  explain::Emigre legacy_engine(g, legacy_opts);
-  explain::Emigre kernel_engine(g, kernel_opts);
-  explain::Emigre fast_engine(g, fast_opts);
-  size_t compared = 0;
-  for (const eval::Scenario& sc : scenarios.value()) {
-    if (compared >= (config.scale == 0 ? 4u : 8u)) break;
-    ++compared;
-    explain::WhyNotQuestion q{sc.user, sc.wni};
-    for (explain::Mode mode : {explain::Mode::kRemove, explain::Mode::kAdd}) {
-      auto a = legacy_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
-      auto b = kernel_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
-      auto c = fast_engine.Explain(q, mode, explain::Heuristic::kExhaustive);
-      auto differs = [&](const Result<explain::Explanation>& x) {
-        return a.ok() != x.ok() ||
-               (a.ok() && (a->found != x->found || a->edges != x->edges ||
-                           a->new_rec != x->new_rec ||
-                           a->failure != x->failure));
-      };
-      if (differs(b) || differs(c)) {
-        std::fprintf(stderr,
-                     "EXPLANATION VIOLATION: engines disagree (user %u, "
-                     "wni %u, mode %d)\n", sc.user, sc.wni,
-                     static_cast<int>(mode));
-        ok = false;
-      }
-    }
-  }
-  std::printf("explanation equality: legacy == kernel == fast on %zu "
-              "scenarios x 2 modes\n", compared);
-  obs::Registry::Global()
-      .GetGauge("bench.ppr_kernels.scenarios_compared")
-      .Set(static_cast<double>(compared));
 
   bench::WriteBenchMetrics("ppr_kernels");
   if (!ok) return 1;

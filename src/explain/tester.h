@@ -12,7 +12,6 @@
 #include "graph/csr.h"
 #include "graph/csr_overlay.h"
 #include "graph/hin_graph.h"
-#include "graph/overlay.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -119,18 +118,18 @@ class TesterInterface {
 ///
 /// Generic over the base graph `G`: the classic `HinGraph` (the
 /// `ExplanationTester` alias) or an mmap-backed `CsrSnapshotView` — the
-/// kernel engines only touch the shared CSR columns either way, and the
-/// legacy engine lays a `BasicGraphOverlay<G>` over the base directly.
+/// TEST only touches the shared CSR columns either way. The independent
+/// dense replay (`BasicGraphOverlay` plus the allocating
+/// `recsys::Recommend`, as in `check::ValidateExplanation`) is the oracle
+/// the tests hold this tester to.
 template <typename G>
 class ExplanationTesterT : public TesterInterface {
  public:
   /// The tester keeps references; `base` (and `csr`, when given) must
-  /// outlive it. With `PprOptions::engine == kKernel` the counterfactual
-  /// recommendations run over a `CsrOverlay` on a CSR snapshot — passed-in
-  /// `csr` when available (the `Emigre` facade shares its own), otherwise
-  /// built lazily on first TEST — with the PPR scratch state held in a
-  /// reusable `PushWorkspace`. Scores are identical either way; only the
-  /// per-TEST allocation profile differs.
+  /// outlive it. The counterfactual recommendations run over a `CsrOverlay`
+  /// on a CSR snapshot — passed-in `csr` when available (the `Emigre`
+  /// facade shares its own), otherwise built lazily on first TEST — with
+  /// the PPR scratch state held in a reusable `PushWorkspace`.
   ExplanationTesterT(const G& base, graph::NodeId user,
                      graph::NodeId why_not_item, const EmigreOptions& opts,
                      const graph::CsrGraph* csr = nullptr)
@@ -158,11 +157,11 @@ class ExplanationTesterT : public TesterInterface {
 
  private:
   /// Shared body of Test/TestMixed: applies each edit in its direction and
-  /// re-runs the recommender through the configured engine.
+  /// re-runs the recommender.
   bool RunOnce(const std::vector<ModedEdit>& edits, graph::NodeId* new_rec);
 
-  /// Builds the CSR snapshot + overlay on first kernel-engine TEST.
-  void EnsureKernelState() {
+  /// Builds the CSR snapshot + overlay on first TEST.
+  void EnsureOverlay() {
     if (overlay_ != nullptr) return;
     if (csr_ == nullptr) {
       owned_csr_ = std::make_unique<graph::CsrGraph>(*base_, 0);
@@ -178,7 +177,7 @@ class ExplanationTesterT : public TesterInterface {
   EmigreOptions opts_;
   size_t num_tests_ = 0;
 
-  // Kernel-engine state (unused by the legacy engine).
+  // Counterfactual state, built on first TEST.
   std::unique_ptr<graph::CsrGraph> owned_csr_;
   std::unique_ptr<graph::CsrOverlay> overlay_;
   ppr::PushWorkspace ws_;
@@ -194,55 +193,32 @@ bool ExplanationTesterT<G>::RunOnce(const std::vector<ModedEdit>& edits,
   EMIGRE_COUNTER("explain.tests.exact").Increment();
   ++num_tests_;
   try {
-    // All engines apply the same edit semantics to an overlay and re-run
-    // the same recommender arithmetic; the workspace engines (kKernel,
-    // kFast) differ only in state reuse (CSR base arrays, overlay cleared
-    // instead of reconstructed, PPR scratch in the workspace), so with the
-    // default power-iteration scorer the verdicts are identical across all
-    // three engines.
-    if (opts_.rec.ppr.engine != ppr::PushEngine::kLegacy) {
-      EnsureKernelState();
-      overlay_->Clear();
-      for (const ModedEdit& e : edits) {
-        Status st;
-        if (e.mode == Mode::kAdd) {
-          st = overlay_->AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                                 opts_.add_edge_weight);
-        } else {
-          st = overlay_->RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
-        }
-        if (!st.ok()) {
-          // A malformed candidate (duplicate add, missing removal target)
-          // can never be a valid explanation.
-          if (new_rec != nullptr) *new_rec = graph::kInvalidNode;
-          return false;
-        }
-      }
-      graph::NodeId top = recsys::Recommend(*overlay_, user_, opts_.rec, &ws_);
-      if (new_rec != nullptr) *new_rec = top;
-      return top == wni_;
-    }
-
-    graph::BasicGraphOverlay<G> overlay(*base_);
+    // The counterfactual is a CsrOverlay over the shared CSR snapshot,
+    // cleared rather than reconstructed per TEST, with the PPR scratch state
+    // in the reusable workspace.
+    EnsureOverlay();
+    overlay_->Clear();
     for (const ModedEdit& e : edits) {
       Status st;
       if (e.mode == Mode::kAdd) {
-        st = overlay.AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                             opts_.add_edge_weight);
+        st = overlay_->AddEdge(e.edge.src, e.edge.dst, e.edge.type,
+                               opts_.add_edge_weight);
       } else {
-        st = overlay.RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
+        st = overlay_->RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
       }
       if (!st.ok()) {
+        // A malformed candidate (duplicate add, missing removal target)
+        // can never be a valid explanation.
         if (new_rec != nullptr) *new_rec = graph::kInvalidNode;
         return false;
       }
     }
-    graph::NodeId top = recsys::Recommend(overlay, user_, opts_.rec);
+    graph::NodeId top = recsys::Recommend(*overlay_, user_, opts_.rec, &ws_);
     if (new_rec != nullptr) *new_rec = top;
     return top == wni_;
   } catch (const DeadlineExceededError&) {
     // The query deadline fired inside the counterfactual PPR: the candidate
-    // is unverifiable within budget, so it fails. The kernel overlay state
+    // is unverifiable within budget, so it fails. The overlay state
     // self-heals (next TEST starts with Clear()); the search's own budget
     // check exits with kBudgetExceeded right after.
     EMIGRE_COUNTER("explain.tests.exact.deadline").Increment();

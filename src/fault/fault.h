@@ -370,15 +370,11 @@ inline constexpr const char* kFaultSites[] = {
     "graph.load",              ///< graph file reader
     "graph.snapshot.map",      ///< CSR snapshot mapper (csr_snapshot)
     "ppr.flp.kernel",          ///< forward-push kernel loop
-    "ppr.flp.legacy",          ///< legacy forward push loop
-    "ppr.flp.fast",            ///< priority-scheduled forward push (kFast)
+    "ppr.flp.legacy",          ///< reference forward push loop
     "ppr.rlp.kernel",          ///< reverse-push kernel loop
-    "ppr.rlp.legacy",          ///< legacy reverse push loop
-    "ppr.rlp.fast",            ///< priority-scheduled reverse push (kFast)
-    "ppr.rlp.fast.batch",      ///< batched multi-target reverse push (kFast)
+    "ppr.rlp.legacy",          ///< reference reverse push loop
     "ppr.dyn.refine",          ///< dynamic-push repair refine
     "ppr.cache.fill",          ///< ReversePushCache miss fill
-    "ppr.cache.fill.batch",    ///< ReversePushCache batched miss fill
     "threadpool.task",         ///< ThreadPool worker task execution
     "threadpool.serial",       ///< ParallelFor's single-thread fast path
     "explain.parallel.batch",  ///< ParallelTester batch entry

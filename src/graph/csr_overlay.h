@@ -16,13 +16,13 @@ namespace emigre::graph {
 /// Same edit semantics and Status surface as `GraphOverlay` (which wraps a
 /// `HinGraph`), but the base traversals run over the CSR's contiguous
 /// neighbor/weight arrays — the representation the push kernels want. The
-/// kernel-engine testers snapshot the graph once, then evaluate every
-/// candidate flip through a `CsrOverlay` without materializing anything.
+/// testers snapshot the graph once, then evaluate every candidate flip
+/// through a `CsrOverlay` without materializing anything.
 ///
 /// Because `CsrGraph::BuildFrom` preserves adjacency order and `Clear()`
 /// returns the view to the untouched base arrays, repeated
 /// edit → evaluate → Clear cycles always traverse edges in the same order —
-/// the property the bitwise kernel-vs-legacy equivalence relies on (a
+/// the property the bitwise kernel-vs-reference equivalence relies on (a
 /// mutable `HinGraph` scratch copy loses it: remove + re-add reorders the
 /// adjacency list).
 ///

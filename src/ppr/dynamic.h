@@ -35,18 +35,19 @@ namespace emigre::ppr {
 /// Residuals may turn negative after deletions; the refine loop pushes
 /// signed residuals symmetrically.
 ///
-/// Two refine engines share the arithmetic:
-///  - Legacy (no workspace): O(n) scan to seed a `std::deque`, plus an O(n)
-///    `queued` array allocated **per repair** — the per-candidate cost this
-///    PR's kernels eliminate.
-///  - Kernel (workspace supplied): the refine frontier is seeded from only
-///    the nodes the repair touched ({u} ∪ old row ∪ new row, ascending) and
-///    runs on the workspace's reusable ring buffer, so a repair costs
-///    O(row + pushes) instead of O(n). Valid because every refine leaves all
-///    |residual| below threshold, so after a repair only touched nodes can
-///    exceed it — the seed sets (and therefore the push schedules, and
-///    therefore the floating-point results) of the two engines are
-///    identical.
+/// Two refine paths share the arithmetic:
+///  - Workspace (the engine the testers run): the refine frontier is seeded
+///    from only the nodes the repair touched ({u} ∪ old row ∪ new row,
+///    ascending) and runs on the workspace's reusable ring buffer, so a
+///    repair costs O(row + pushes) instead of O(n). Valid because every
+///    refine leaves all |residual| below threshold, so after a repair only
+///    touched nodes can exceed it.
+///  - Dense reference (no workspace): an O(n) scan seeds a `std::deque`,
+///    with an O(n) `queued` array allocated per repair. It shares no
+///    frontier code with the workspace path, and the tests hold the two to
+///    bitwise-equal estimates and residuals after every repair (the seed
+///    sets, and therefore the push schedules and float results, are
+///    identical).
 ///
 /// Usage: construct over a mutable graph view, then for each edit call
 /// `BeforeOutEdgeChange(u)`, mutate the graph, call `AfterOutEdgeChange(u)`.
@@ -55,7 +56,7 @@ class DynamicForwardPush {
  public:
   /// Runs the initial push from `source` over the current state of `g`.
   /// The referenced graph must outlive this object; so must `workspace`
-  /// when supplied (nullptr selects the legacy dense-refine engine). The
+  /// when supplied (nullptr selects the dense reference refine). The
   /// workspace is owned by the caller and is exclusively this object's
   /// between `AfterOutEdgeChange` calls — do not share one across
   /// concurrently-repairing instances.
@@ -64,9 +65,7 @@ class DynamicForwardPush {
                      PushWorkspace* workspace = nullptr)
       : g_(&g), source_(source), opts_(opts), ws_(workspace) {
     if (ws_ != nullptr) {
-      KernelResult init = opts.engine == PushEngine::kFast
-                              ? ForwardPushKernelFast(g, source, opts, *ws_)
-                              : ForwardPushKernel(g, source, opts, *ws_);
+      KernelResult init = ForwardPushKernel(g, source, opts, *ws_);
       state_ = ExportDensePush(*ws_, g.NumNodes(), init.residual_mass);
     } else {
       state_ = ForwardPush(g, source, opts);
@@ -108,7 +107,7 @@ class DynamicForwardPush {
     if (ws_ != nullptr) {
       // Only nodes the repair wrote can exceed the threshold (everything
       // else converged below it in the previous refine); seed ascending to
-      // match the legacy full-scan enqueue order exactly.
+      // match the reference full-scan enqueue order exactly.
       seed_buf_.clear();
       seed_buf_.push_back(u);
       for (const auto& [v, w] : pending_row_) seed_buf_.push_back(v);
@@ -120,11 +119,7 @@ class DynamicForwardPush {
     pending_row_.clear();
     pending_node_ = graph::kInvalidNode;
     if (ws_ != nullptr) {
-      if (opts_.engine == PushEngine::kFast) {
-        RefineSparseFast();
-      } else {
-        RefineSparse();
-      }
+      RefineSparse();
     } else {
       Refine();
     }
@@ -193,7 +188,7 @@ class DynamicForwardPush {
     return opts_.epsilon * static_cast<double>(deg > 0 ? deg : 1);
   }
 
-  /// Shared push body of both refine engines: converts the signed residual
+  /// Shared push body of both refine paths: converts the signed residual
   /// of `u` into estimate and spreads the remainder. `enqueue(v)` is called
   /// for every neighbor whose residual changed.
   template <typename EnqueueFn>
@@ -217,7 +212,7 @@ class DynamicForwardPush {
     return true;
   }
 
-  /// Legacy forward push over the existing state with signed residuals:
+  /// Dense reference refine over the existing state with signed residuals:
   /// O(n) scan + per-call dense queued array.
   void Refine() {
     const size_t n = g_->NumNodes();
@@ -248,7 +243,7 @@ class DynamicForwardPush {
     EMIGRE_COUNTER("ppr.dyn.refine_pushes").Increment(pushes);
   }
 
-  /// Kernel refine: seeds only from `seed_buf_` (the nodes the repair
+  /// Workspace refine: seeds only from `seed_buf_` (the nodes the repair
   /// touched) and reuses the workspace ring frontier — O(seeds + pushes).
   void RefineSparse() {
     ws_->Begin(g_->NumNodes());
@@ -273,45 +268,6 @@ class DynamicForwardPush {
       }
     }
     EMIGRE_COUNTER("ppr.dyn.refine_pushes").Increment(pushes);
-  }
-
-  /// The priority-key cost of pushing `v`: the out-edges the push scans.
-  /// `Threshold(v) == opts_.epsilon * Cost(v)` by construction.
-  double Cost(graph::NodeId v) const {
-    size_t deg = g_->OutDegree(v);
-    return static_cast<double>(deg > 0 ? deg : 1);
-  }
-
-  /// kFast refine: same seed set as `RefineSparse`, but pushed in
-  /// best-|residual|-per-edge-first order on the workspace's bucketed
-  /// priority frontier (key |r|/deg, matching `ForwardPushKernelFast`).
-  /// The repair arithmetic (`PushNode`) is unchanged; only the schedule
-  /// differs, so the refined state satisfies the same Eq. 3 invariant with
-  /// a different float-noise pattern.
-  void RefineSparseFast() {
-    ws_->Begin(g_->NumNodes());
-    ws_->PriorityBegin(opts_.epsilon);
-    for (graph::NodeId v : seed_buf_) {
-      double m = std::abs(state_.residual[v]);
-      double cost = Cost(v);
-      if (m >= opts_.epsilon * cost) ws_->PriorityPush(v, m, cost);
-    }
-    size_t pushes = 0;
-    for (graph::NodeId u;
-         (u = ws_->PriorityPop()) != graph::kInvalidNode;) {
-      // Cooperative deadline: no-op unless the caller armed one.
-      if (DeadlineExpired(opts_, pushes)) throw DeadlineExceededError();
-      if (PushNode(u, [&](graph::NodeId v) {
-            // Ring-resident nodes re-read their residual at pop time.
-            if (ws_->InFrontier(v)) return;
-            double m = std::abs(state_.residual[v]);
-            double cost = Cost(v);
-            if (m >= opts_.epsilon * cost) ws_->PriorityPush(v, m, cost);
-          })) {
-        ++pushes;
-      }
-    }
-    EMIGRE_COUNTER("ppr.dyn.fast.refine_pushes").Increment(pushes);
   }
 
   const G* g_;

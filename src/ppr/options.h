@@ -7,31 +7,6 @@
 
 namespace emigre::ppr {
 
-/// \brief Which push implementation executes the local-push hot loops.
-///
-///  - `kLegacy`: the original engines — dense O(n) zero-fill per call,
-///    `std::deque` frontier. Kept as the reference implementation for the
-///    equivalence suite and the `bench_ppr_kernels` baseline.
-///  - `kKernel`: the workspace kernels (`ppr/kernels.h`) — epoch-stamped
-///    sparse state reused across calls, flat ring-buffer frontier; a push
-///    touching k nodes costs O(k), not O(n). Byte-for-byte the legacy FIFO
-///    schedule and float-op order, so estimates are bitwise identical to
-///    `kLegacy`.
-///  - `kFast`: the scheduling-free kernels — highest-residual-first
-///    frontier (bucketed priority queue) and batched multi-target reverse
-///    push. Deliberately NOT bitwise identical to the other two engines:
-///    the push schedule changes, so individual estimates differ by O(ε)
-///    float-summation noise. Correctness is anchored on the Eq. 3/4
-///    invariant validators (`check/invariants.h`), which are
-///    schedule-independent; every converged kFast state satisfies the same
-///    per-node residual bound (|r(v)| < ε·deg(v) forward, < ε reverse) as
-///    the legacy schedule. See docs/performance.md for the contract.
-enum class PushEngine {
-  kLegacy,
-  kKernel,
-  kFast,
-};
-
 /// \brief Shared parameters of the Personalized PageRank computations.
 ///
 /// Defaults follow the paper's experimental setting (§6.1): teleport
@@ -53,14 +28,8 @@ struct PprOptions {
   /// so 300 iterations at α=0.15 is far beyond any practical tolerance.
   size_t max_power_iterations = 300;
 
-  /// Push implementation for components that can route through a reusable
-  /// `PushWorkspace` (testers, cache). kLegacy/kKernel estimates are
-  /// bitwise identical; kFast keeps the same ε convergence guarantee under
-  /// a different schedule. See `PushEngine`.
-  PushEngine engine = PushEngine::kKernel;
-
   /// Cooperative query deadline (non-owning; nullptr = none). The push hot
-  /// loops (kernel and legacy engines, dynamic repair) and power iteration
+  /// loops (kernels, reference pushes, dynamic repair) and power iteration
   /// check it periodically — every `kDeadlineCheckInterval` pushes /
   /// every power iteration — and throw `DeadlineExceededError` once it has
   /// expired, instead of running a long push to completion first. A

@@ -110,43 +110,25 @@ RecommendationList RankItems(const G& g, graph::NodeId user,
   const size_t n = g.NumNodes();
   std::vector<ScoredItem> scored;
 
-  if (opts.scorer == Scorer::kForwardPush &&
-      opts.ppr.engine != ppr::PushEngine::kLegacy) {
-    // Fully sparse path: scores stay in the workspace (untouched ⇒ 0.0,
-    // exactly as the legacy dense vector starts at 0.0).
-    if (opts.ppr.engine == ppr::PushEngine::kFast) {
-      ppr::ForwardPushKernelFast(g, user, opts.ppr, *ws);
-    } else {
-      ppr::ForwardPushKernel(g, user, opts.ppr, *ws);
-    }
-    g.ForEachOutEdge(user, [&](graph::NodeId dst, graph::EdgeTypeId,
-                               double) { ws->Mark(dst); });
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (v == user || ws->Marked(v)) continue;
-      if (g.NodeType(v) != opts.item_type) continue;
-      scored.push_back(ScoredItem{v, ws->Estimate(v)});
-    }
-    return RecommendationList(std::move(scored));
-  }
-
-  // Dense scorers: reuse the workspace's dense buffers for the
-  // distribution and its epoch marks for the interacted bitmap.
+  // Forward push leaves its scores sparse in the workspace (untouched ⇒
+  // 0.0, exactly as the reference dense vector starts at 0.0); power
+  // iteration fills a reusable dense buffer. Either way the interacted
+  // bitmap is the workspace's epoch marks.
   std::vector<double>* scores = nullptr;
-  std::vector<double> legacy_scores;
   if (opts.scorer == Scorer::kForwardPush) {
-    legacy_scores = ppr::ForwardPush(g, user, opts.ppr).estimate;
-    scores = &legacy_scores;
+    ppr::ForwardPushKernel(g, user, opts.ppr, *ws);
   } else {
     ppr::PowerIterationPprInto(g, user, opts.ppr, *ws, &scores);
+    ws->Begin(n);
   }
-  ws->Begin(n);
   g.ForEachOutEdge(user, [&](graph::NodeId dst, graph::EdgeTypeId, double) {
     ws->Mark(dst);
   });
   for (graph::NodeId v = 0; v < n; ++v) {
     if (v == user || ws->Marked(v)) continue;
     if (g.NodeType(v) != opts.item_type) continue;
-    scored.push_back(ScoredItem{v, (*scores)[v]});
+    double score = scores != nullptr ? (*scores)[v] : ws->Estimate(v);
+    scored.push_back(ScoredItem{v, score});
   }
   return RecommendationList(std::move(scored));
 }

@@ -164,11 +164,11 @@ TEST(FastTesterTest, TestMixedMatchesExact) {
 }
 
 // The tie-break contract (fast_tester.h): rank by score descending, node id
-// ascending on exact ties, regardless of push engine. Crafted graph where
-// two items are perfectly symmetric — user -> rated -> category -> {A, B}
-// with identical weights — so PPR(A) == PPR(B) bitwise under every
-// schedule, and the verdict hinges entirely on the tie-break.
-TEST(FastTesterTest, EqualScoreTieBreaksToLowestIdOnEveryEngine) {
+// ascending on exact ties. Crafted graph where two items are perfectly
+// symmetric — user -> rated -> category -> {A, B} with identical weights —
+// so PPR(A) == PPR(B) bitwise, and the verdict hinges entirely on the
+// tie-break.
+TEST(FastTesterTest, EqualScoreTieBreaksToLowestId) {
   graph::HinGraph g;
   graph::NodeTypeId user_t = g.RegisterNodeType("user");
   graph::NodeTypeId item_t = g.RegisterNodeType("item");
@@ -187,43 +187,33 @@ TEST(FastTesterTest, EqualScoreTieBreaksToLowestIdOnEveryEngine) {
   ASSERT_TRUE(g.AddEdge(c, a, belongs).ok());
   ASSERT_TRUE(g.AddEdge(c, b, belongs).ok());
 
-  explain::EmigreOptions base_opts;
-  base_opts.rec.item_type = item_t;
-  base_opts.allowed_edge_types = {rated};
-  base_opts.add_edge_type = rated;
-  base_opts.rec.ppr.epsilon = 1e-9;
+  explain::EmigreOptions opts;
+  opts.rec.item_type = item_t;
+  opts.allowed_edge_types = {rated};
+  opts.add_edge_type = rated;
+  opts.rec.ppr.epsilon = 1e-9;
 
   // Adding u->x preserves the A/B symmetry (x is a separate branch), so the
   // counterfactual top is the tied pair and must resolve to A, the lower
-  // id, under all three engines.
+  // id.
   std::vector<EdgeRef> add_x = {EdgeRef{u, x, rated}};
-  for (ppr::PushEngine engine :
-       {ppr::PushEngine::kLegacy, ppr::PushEngine::kKernel,
-        ppr::PushEngine::kFast}) {
-    explain::EmigreOptions opts = base_opts;
-    opts.rec.ppr.engine = engine;
+  FastExplanationTester ask_a(g, u, /*why_not_item=*/a, opts);
+  NodeId rec = graph::kInvalidNode;
+  EXPECT_TRUE(ask_a.Test(add_x, Mode::kAdd, &rec));
+  EXPECT_EQ(rec, a);
 
-    FastExplanationTester ask_a(g, u, /*why_not_item=*/a, opts);
-    NodeId rec = graph::kInvalidNode;
-    EXPECT_TRUE(ask_a.Test(add_x, Mode::kAdd, &rec))
-        << "engine " << static_cast<int>(engine);
-    EXPECT_EQ(rec, a) << "engine " << static_cast<int>(engine);
+  FastExplanationTester ask_b(g, u, /*why_not_item=*/b, opts);
+  rec = graph::kInvalidNode;
+  EXPECT_FALSE(ask_b.Test(add_x, Mode::kAdd, &rec));
+  EXPECT_EQ(rec, a);
 
-    FastExplanationTester ask_b(g, u, /*why_not_item=*/b, opts);
-    rec = graph::kInvalidNode;
-    EXPECT_FALSE(ask_b.Test(add_x, Mode::kAdd, &rec))
-        << "engine " << static_cast<int>(engine);
-    EXPECT_EQ(rec, a) << "engine " << static_cast<int>(engine);
-
-    // All-zero tie: removing the rated edge leaves every eligible item at
-    // the floored score 0, so the top is the lowest eligible id (r itself,
-    // no longer rated in the counterfactual).
-    std::vector<EdgeRef> drop_r = {EdgeRef{u, r, rated}};
-    rec = graph::kInvalidNode;
-    EXPECT_FALSE(ask_b.Test(drop_r, Mode::kRemove, &rec))
-        << "engine " << static_cast<int>(engine);
-    EXPECT_EQ(rec, r) << "engine " << static_cast<int>(engine);
-  }
+  // All-zero tie: removing the rated edge leaves every eligible item at the
+  // floored score 0, so the top is the lowest eligible id (r itself, no
+  // longer rated in the counterfactual).
+  std::vector<EdgeRef> drop_r = {EdgeRef{u, r, rated}};
+  rec = graph::kInvalidNode;
+  EXPECT_FALSE(ask_b.Test(drop_r, Mode::kRemove, &rec));
+  EXPECT_EQ(rec, r);
 }
 
 }  // namespace

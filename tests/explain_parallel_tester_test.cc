@@ -9,7 +9,6 @@
 #include "explain/emigre.h"
 #include "explain/fast_tester.h"
 #include "explain/tester.h"
-#include "ppr/options.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -224,62 +223,33 @@ void ExpectIdenticalExplanations(const graph::HinGraph& g,
       {Mode::kAdd, Heuristic::kExhaustive},
       {Mode::kAdd, Heuristic::kPowerset},
   };
-  // Whole Explanations must agree across every (push engine × thread count)
-  // combination: the kernel engine replays the legacy push schedule bit for
-  // bit, and kFast — whose priority schedule is NOT bitwise-identical — is
-  // held to the same bar because tester verdicts are schedule-independent
-  // by construction (sub-noise scores floored to 0, exact ties broken by
-  // ascending id). Swapping engines may not change a single accepted
-  // candidate.
-  struct Config {
-    ppr::PushEngine engine;
-    size_t threads;
-  };
-  const Config configs[] = {
-      {ppr::PushEngine::kLegacy, 1},
-      {ppr::PushEngine::kLegacy, 4},
-      {ppr::PushEngine::kKernel, 1},
-      {ppr::PushEngine::kKernel, 4},
-      {ppr::PushEngine::kFast, 1},
-      {ppr::PushEngine::kFast, 4},
-  };
+  // Whole Explanations must agree between serial and 4-thread verification
+  // for both tester kinds, down to the candidate count.
   for (TesterKind kind : {TesterKind::kExact, TesterKind::kDynamicPush}) {
-    std::vector<std::unique_ptr<Emigre>> engines;
-    for (const Config& cfg : configs) {
-      EmigreOptions opts = base_opts;
-      opts.tester = kind;
-      opts.test_threads = cfg.threads;
-      opts.rec.ppr.engine = cfg.engine;
-      engines.push_back(std::make_unique<Emigre>(g, opts));
-    }
+    EmigreOptions serial_opts = base_opts;
+    serial_opts.tester = kind;
+    serial_opts.test_threads = 1;
+    EmigreOptions parallel_opts = serial_opts;
+    parallel_opts.test_threads = 4;
+    Emigre serial(g, serial_opts);
+    Emigre parallel(g, parallel_opts);
     for (const EngineCase& c : cases) {
-      auto a = engines[0]->Explain(WhyNotQuestion{user, wni}, c.mode,
-                                   c.heuristic);
-      for (size_t i = 1; i < engines.size(); ++i) {
-        auto b = engines[i]->Explain(WhyNotQuestion{user, wni}, c.mode,
-                                     c.heuristic);
-        ASSERT_EQ(a.ok(), b.ok());
-        if (!a.ok()) continue;
-        SCOPED_TRACE(testing::Message()
-                     << "mode=" << static_cast<int>(c.mode) << " heuristic="
-                     << static_cast<int>(c.heuristic) << " kind="
-                     << static_cast<int>(kind) << " engine="
-                     << static_cast<int>(configs[i].engine) << " threads="
-                     << configs[i].threads << " user=" << user
-                     << " wni=" << wni);
-        EXPECT_EQ(a->found, b->found);
-        EXPECT_EQ(a->verified, b->verified);
-        EXPECT_EQ(a->edges, b->edges);
-        EXPECT_EQ(a->new_rec, b->new_rec);
-        EXPECT_EQ(a->failure, b->failure);
-        if (configs[i].engine != ppr::PushEngine::kFast) {
-          // Work counters are only bitwise-stable for engines that replay
-          // the legacy schedule; kFast may drop sub-epsilon candidates
-          // from the search space, so it is held to the semantic fields
-          // above but not to the exact candidate count.
-          EXPECT_EQ(a->candidates_considered, b->candidates_considered);
-        }
-      }
+      auto a = serial.Explain(WhyNotQuestion{user, wni}, c.mode, c.heuristic);
+      auto b =
+          parallel.Explain(WhyNotQuestion{user, wni}, c.mode, c.heuristic);
+      ASSERT_EQ(a.ok(), b.ok());
+      if (!a.ok()) continue;
+      SCOPED_TRACE(testing::Message()
+                   << "mode=" << static_cast<int>(c.mode) << " heuristic="
+                   << static_cast<int>(c.heuristic) << " kind="
+                   << static_cast<int>(kind) << " user=" << user
+                   << " wni=" << wni);
+      EXPECT_EQ(a->found, b->found);
+      EXPECT_EQ(a->verified, b->verified);
+      EXPECT_EQ(a->edges, b->edges);
+      EXPECT_EQ(a->new_rec, b->new_rec);
+      EXPECT_EQ(a->failure, b->failure);
+      EXPECT_EQ(a->candidates_considered, b->candidates_considered);
     }
   }
 }

@@ -3,8 +3,9 @@
 // These complement the per-module unit tests with "anything the API allows
 // must keep the invariants" checks: graph mutation storms stay consistent,
 // overlays always mirror an equivalently mutated copy, PPR stays a
-// distribution, CSV round-trips arbitrary field content, and graph I/O
-// round-trips randomly generated graphs.
+// distribution, CSV round-trips arbitrary field content, graph I/O
+// round-trips randomly generated graphs, and the exact TEST agrees with an
+// independent dense replay on every search-space candidate.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,15 @@
 #include <string>
 #include <tuple>
 
+#include "explain/search_space.h"
+#include "explain/tester.h"
+#include "graph/csr_snapshot.h"
 #include "graph/hin_graph.h"
 #include "graph/io.h"
 #include "graph/overlay.h"
 #include "graph/validate.h"
 #include "ppr/power_iteration.h"
+#include "recsys/recommender.h"
 #include "test_util.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -214,6 +219,81 @@ TEST(GraphIoFuzzTest, RandomGraphsRoundTrip) {
         EXPECT_NEAR(a[i], b[i], 1e-12);
       }
     }
+  }
+}
+
+// The exact TEST re-ranks on a CsrOverlay with the workspace kernels. Its
+// independent oracle is the dense replay `check::ValidateExplanation` uses:
+// a `BasicGraphOverlay` over the base graph plus the allocating
+// `recsys::Recommend`. Every candidate of every question's Remove and Add
+// search space — each action alone, plus the top three together — must get
+// the same verdict and the same counterfactual top-1 from both.
+template <typename G>
+size_t ExpectTesterMatchesDenseReplay(const G& g, const test::RandomHin& rh,
+                                      const explain::EmigreOptions& opts) {
+  using explain::Mode;
+  size_t compared = 0;
+  for (size_t u = 0; u < 3 && u < rh.users.size(); ++u) {
+    NodeId user = rh.users[u];
+    recsys::RecommendationList ranking = recsys::RankItems(g, user, opts.rec);
+    NodeId rec = ranking.Top();
+    for (size_t rank = 1; rank < 4 && rank < ranking.size(); ++rank) {
+      NodeId wni = ranking.at(rank).item;
+      explain::ExplanationTesterT<G> tester(g, user, wni, opts);
+      for (Mode mode : {Mode::kRemove, Mode::kAdd}) {
+        auto space =
+            mode == Mode::kRemove
+                ? explain::BuildRemoveSearchSpace(g, user, rec, wni, opts)
+                : explain::BuildAddSearchSpace(g, user, rec, wni, opts);
+        EXPECT_TRUE(space.ok()) << space.status();
+        if (!space.ok()) continue;
+        std::vector<std::vector<graph::EdgeRef>> candidates;
+        std::vector<graph::EdgeRef> top3;
+        for (const explain::CandidateAction& a : space->actions) {
+          candidates.push_back({a.edge});
+          if (top3.size() < 3) top3.push_back(a.edge);
+        }
+        if (top3.size() > 1) candidates.push_back(top3);
+        for (const std::vector<graph::EdgeRef>& edits : candidates) {
+          graph::BasicGraphOverlay<G> overlay(g);
+          bool applied = true;
+          for (const graph::EdgeRef& e : edits) {
+            Status st = mode == Mode::kAdd
+                            ? overlay.AddEdge(e.src, e.dst, e.type,
+                                              opts.add_edge_weight)
+                            : overlay.RemoveEdge(e.src, e.dst, e.type);
+            applied = applied && st.ok();
+          }
+          NodeId want = applied ? recsys::Recommend(overlay, user, opts.rec)
+                                : graph::kInvalidNode;
+          NodeId got = graph::kInvalidNode;
+          bool verdict = tester.Test(edits, mode, &got);
+          EXPECT_EQ(got, want) << "user " << user << " wni " << wni
+                               << " mode " << static_cast<int>(mode)
+                               << " edits " << edits.size();
+          EXPECT_EQ(verdict, want == wni);
+          ++compared;
+        }
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(TesterOracleFuzzTest, ExactTestMatchesDenseReplayOnHeapAndMmap) {
+  Rng rng(0x7E57);
+  std::string dir = test::MakeTempDir("tester_oracle");
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    test::RandomHin rh = test::MakeRandomHin(rng, 5, 16, 3, 4);
+    explain::EmigreOptions opts = test::MakeRandomHinOptions(rh);
+    EXPECT_GT(ExpectTesterMatchesDenseReplay(rh.g, rh, opts), 0u);
+
+    std::string path = dir + "/g" + std::to_string(trial) + ".csr";
+    ASSERT_TRUE(graph::WriteGraphSnapshot(rh.g, path).ok());
+    auto view = graph::CsrSnapshotView::Load(path);
+    ASSERT_TRUE(view.ok()) << view.status();
+    EXPECT_GT(ExpectTesterMatchesDenseReplay(view.value(), rh, opts), 0u);
   }
 }
 

@@ -35,24 +35,9 @@ TEST(ReversePushCacheTest, ReturnsSameValuesAsDirectComputation) {
       EXPECT_DOUBLE_EQ(cached->Get(static_cast<NodeId>(i)), direct[i])
           << "target " << target;
     }
+    // Bitwise: the cache's workspace kernel replays the dense reference.
     std::vector<double> densified = cached->ToDense(direct.size());
     EXPECT_EQ(densified, direct) << "target " << target;
-  }
-}
-
-TEST(ReversePushCacheTest, LegacyAndKernelEnginesAgree) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions legacy_opts;
-  legacy_opts.engine = PushEngine::kLegacy;
-  PprOptions kernel_opts;
-  kernel_opts.engine = PushEngine::kKernel;
-  ReversePushCache<HinGraph> legacy(bg.g, legacy_opts);
-  ReversePushCache<HinGraph> kernel(bg.g, kernel_opts);
-  for (NodeId target : {bg.harry_potter, bg.python, bg.candide}) {
-    auto a = legacy.Get(target);
-    auto b = kernel.Get(target);
-    EXPECT_EQ(a->ids(), b->ids()) << "target " << target;
-    EXPECT_EQ(a->values(), b->values()) << "target " << target;  // bitwise
   }
 }
 
@@ -199,78 +184,14 @@ TEST(ReversePushCacheTest, RacesStayZeroWhenSingleThreaded) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-// GetBatch accounting must be serial-Get-equivalent: each position of the
-// target list is exactly one hit / miss / race, a unique missing target
-// counts ONE miss even when its column came from the shared batched push,
-// and duplicates of a missing target count as the follow-up hits they
-// replace.
-TEST(ReversePushCacheTest, GetBatchAccountingMatchesSerialGets) {
+TEST(ReversePushCacheTest, BytesGaugeTracksResidentEntries) {
   test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.engine = PushEngine::kFast;  // batch kernel path for 2+ misses
-  ReversePushCache<HinGraph> cache(bg.g, opts);
-
-  // Warm one target the batch will then hit.
-  cache.Get(bg.harry_potter);
-  ASSERT_EQ(cache.misses(), 1u);
-
-  std::vector<NodeId> targets = {bg.harry_potter, bg.python, bg.candide,
-                                 bg.python, bg.harry_potter};
-  auto out = cache.GetBatch(targets);
-  ASSERT_EQ(out.size(), targets.size());
-  for (const auto& v : out) ASSERT_NE(v, nullptr);
-
-  // Serial equivalent of the batch: hit, miss, miss, hit, hit.
-  EXPECT_EQ(cache.misses(), 3u);  // harry warm-up + python + candide
-  EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_EQ(cache.races(), 0u);
-  EXPECT_EQ(cache.hits() + cache.misses() + cache.races(),
-            targets.size() + 1);  // one bucket per Get position
-  EXPECT_EQ(cache.size(), 3u);
-
-  // Duplicate positions share the installed vector.
-  EXPECT_EQ(out[1], out[3]);
-  EXPECT_EQ(out[0], out[4]);
-
-  // Batch-installed columns ARE the cache entries afterwards.
-  EXPECT_EQ(cache.Get(bg.python), out[1]);
-  EXPECT_EQ(cache.Get(bg.candide), out[2]);
-  EXPECT_EQ(cache.misses(), 3u);  // both follow-ups hit
-}
-
-TEST(ReversePushCacheTest, GetBatchColumnsMatchSingleTargetComputation) {
-  // A batched kFast column is not bitwise identical to a single-target
-  // push, but both are Eq. 4-accurate: per-source estimates agree within
-  // push noise of the legacy dense reverse push.
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.engine = PushEngine::kFast;
-  ReversePushCache<HinGraph> cache(bg.g, opts);
-
-  std::vector<NodeId> targets = {bg.harry_potter, bg.python, bg.candide};
-  auto out = cache.GetBatch(targets);
-  for (size_t c = 0; c < targets.size(); ++c) {
-    PprOptions legacy = opts;
-    legacy.engine = PushEngine::kLegacy;
-    std::vector<double> dense = ReversePush(bg.g, targets[c], legacy).estimate;
-    for (NodeId s = 0; s < bg.g.NumNodes(); ++s) {
-      EXPECT_NEAR(out[c]->Get(s), dense[s], 10.0 * opts.epsilon)
-          << "target " << targets[c] << " source " << s;
-    }
-  }
-}
-
-TEST(ReversePushCacheTest, GetBatchMaintainsBytesAndGauge) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.engine = PushEngine::kFast;
-  ReversePushCache<HinGraph> cache(bg.g, opts);
-
-  std::vector<NodeId> targets = {bg.harry_potter, bg.python, bg.candide};
-  auto out = cache.GetBatch(targets);
+  ReversePushCache<HinGraph> cache(bg.g, PprOptions{});
 
   size_t expected = 0;
-  for (const auto& v : out) expected += v->MemoryBytes();
+  for (NodeId t : {bg.harry_potter, bg.python, bg.candide}) {
+    expected += cache.Get(t)->MemoryBytes();
+  }
   EXPECT_GT(cache.bytes(), 0u);
   EXPECT_EQ(cache.bytes(), expected);
   // The resident-bytes gauge tracks the same accounting.

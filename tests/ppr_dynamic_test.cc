@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "obs/metrics.h"
 #include "ppr/power_iteration.h"
+#include "ppr/workspace.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -17,11 +22,52 @@ using graph::NodeId;
 // the node degree; use a comfortable multiple.
 constexpr double kTol = 1e-5;
 
+// Every case runs both refine paths side by side over the same graph: the
+// workspace refine the testers use and the dense reference refine. They
+// share no frontier code, so after the initial push and after every repair
+// their estimates and residuals must be bitwise equal.
+class BothPaths {
+ public:
+  BothPaths(const HinGraph& g, NodeId source, const PprOptions& opts)
+      : dense_(g, source, opts), sparse_(g, source, opts, &ws_) {
+    ExpectBitwiseEqual();
+  }
+
+  void BeforeOutEdgeChange(NodeId u) {
+    dense_.BeforeOutEdgeChange(u);
+    sparse_.BeforeOutEdgeChange(u);
+  }
+
+  void AfterOutEdgeChange(NodeId u) {
+    dense_.AfterOutEdgeChange(u);
+    sparse_.AfterOutEdgeChange(u);
+    ExpectBitwiseEqual();
+  }
+
+  /// Both paths, for assertions that must hold on each.
+  std::vector<DynamicForwardPush<HinGraph>*> paths() {
+    return {&dense_, &sparse_};
+  }
+
+  /// Estimate of PPR(source, t); bitwise the same on both paths.
+  double Estimate(NodeId t) const { return sparse_.Estimate(t); }
+
+ private:
+  void ExpectBitwiseEqual() const {
+    EXPECT_EQ(dense_.Estimates(), sparse_.Estimates());
+    EXPECT_EQ(dense_.Residuals(), sparse_.Residuals());
+  }
+
+  PushWorkspace ws_;  // declared first: sparse_ pushes into it on construction
+  DynamicForwardPush<HinGraph> dense_;
+  DynamicForwardPush<HinGraph> sparse_;
+};
+
 TEST(DynamicPushTest, MatchesFreshComputationAfterEdgeAddition) {
   test::BookGraph bg = test::MakeBookGraph();
   PprOptions opts;
   opts.epsilon = 1e-9;
-  DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts);
+  BothPaths dyn(bg.g, bg.paul, opts);
 
   dyn.BeforeOutEdgeChange(bg.paul);
   ASSERT_TRUE(bg.g.AddEdge(bg.paul, bg.lotr, bg.rated, 1.0).ok());
@@ -37,7 +83,7 @@ TEST(DynamicPushTest, MatchesFreshComputationAfterEdgeRemoval) {
   test::BookGraph bg = test::MakeBookGraph();
   PprOptions opts;
   opts.epsilon = 1e-9;
-  DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts);
+  BothPaths dyn(bg.g, bg.paul, opts);
 
   dyn.BeforeOutEdgeChange(bg.paul);
   ASSERT_TRUE(bg.g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
@@ -53,7 +99,7 @@ TEST(DynamicPushTest, HandlesChangesAwayFromSource) {
   test::BookGraph bg = test::MakeBookGraph();
   PprOptions opts;
   opts.epsilon = 1e-9;
-  DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts);
+  BothPaths dyn(bg.g, bg.paul, opts);
 
   // Mutate Bob's neighborhood, two hops from Paul.
   dyn.BeforeOutEdgeChange(bg.bob);
@@ -72,7 +118,7 @@ TEST(DynamicPushTest, SurvivesLongRandomEditSequence) {
   PprOptions opts;
   opts.epsilon = 1e-9;
   NodeId source = rh.users[0];
-  DynamicForwardPush<HinGraph> dyn(rh.g, source, opts);
+  BothPaths dyn(rh.g, source, opts);
 
   for (int step = 0; step < 40; ++step) {
     NodeId src = static_cast<NodeId>(rng.NextBounded(rh.g.NumNodes()));
@@ -92,7 +138,7 @@ TEST(DynamicPushTest, SurvivesLongRandomEditSequence) {
   for (NodeId t = 0; t < rh.g.NumNodes(); ++t) {
     EXPECT_NEAR(dyn.Estimate(t), fresh[t], 1e-4) << "t=" << t;
   }
-  EXPECT_LT(dyn.AbsResidualMass(), 1.0);
+  for (auto* path : dyn.paths()) EXPECT_LT(path->AbsResidualMass(), 1.0);
 }
 
 // `residual_mass` is maintained incrementally (one float add per repair
@@ -103,46 +149,43 @@ TEST(DynamicPushTest, SurvivesLongRandomEditSequence) {
 // kResidualMassResyncInterval repairs, so at any point the drift is at
 // most one interval's worth of roundings.
 TEST(DynamicPushTest, ResidualMassDriftBoundedOverThousandsOfRepairs) {
-  for (PushEngine engine : {PushEngine::kKernel, PushEngine::kFast}) {
-    test::BookGraph bg = test::MakeBookGraph();
-    PprOptions opts;
-    opts.epsilon = 1e-8;
-    opts.engine = engine;
-    PushWorkspace ws;
-    DynamicForwardPush<HinGraph> dyn(bg.g, bg.paul, opts, &ws);
+  test::BookGraph bg = test::MakeBookGraph();
+  PprOptions opts;
+  opts.epsilon = 1e-8;
+  BothPaths dyn(bg.g, bg.paul, opts);
 
-    const uint64_t resyncs_before =
-        obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value();
-    // 1500 remove/re-add cycles = 3000 repairs: enough to cross the
-    // 1024-repair resync interval at least twice.
-    for (int cycle = 0; cycle < 1500; ++cycle) {
-      dyn.BeforeOutEdgeChange(bg.paul);
-      ASSERT_TRUE(bg.g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
-      dyn.AfterOutEdgeChange(bg.paul);
-      dyn.BeforeOutEdgeChange(bg.paul);
-      ASSERT_TRUE(bg.g.AddEdge(bg.paul, bg.candide, bg.rated, 1.0).ok());
-      dyn.AfterOutEdgeChange(bg.paul);
-    }
-    const uint64_t resyncs =
-        obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value() -
-        resyncs_before;
-    EXPECT_GE(resyncs, 2u) << "periodic resync did not trigger";
+  const uint64_t resyncs_before =
+      obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value();
+  // 1500 remove/re-add cycles = 3000 repairs: enough to cross the
+  // 1024-repair resync interval at least twice on each path.
+  for (int cycle = 0; cycle < 1500; ++cycle) {
+    dyn.BeforeOutEdgeChange(bg.paul);
+    ASSERT_TRUE(bg.g.RemoveEdge(bg.paul, bg.candide, bg.rated).ok());
+    dyn.AfterOutEdgeChange(bg.paul);
+    dyn.BeforeOutEdgeChange(bg.paul);
+    ASSERT_TRUE(bg.g.AddEdge(bg.paul, bg.candide, bg.rated, 1.0).ok());
+    dyn.AfterOutEdgeChange(bg.paul);
+  }
+  const uint64_t resyncs =
+      obs::Registry::Global().GetCounter("ppr.dyn.resyncs").Value() -
+      resyncs_before;
+  EXPECT_GE(resyncs, 4u) << "periodic resync did not trigger";
 
+  std::vector<double> fresh = PowerIterationPpr(bg.g, bg.paul, opts);
+  for (auto* path : dyn.paths()) {
     // Whatever accumulated since the last automatic resync is at most one
     // interval of float roundings — far below the push tolerance.
-    double drift = dyn.ResyncResidualMass();
-    EXPECT_LT(std::abs(drift), 1e-9) << "engine "
-                                     << static_cast<int>(engine);
+    double drift = path->ResyncResidualMass();
+    EXPECT_LT(std::abs(drift), 1e-9);
 
     // After a resync the incremental mass IS the scan, bitwise.
     double scan = 0.0;
-    for (double r : dyn.Residuals()) scan += r;
-    EXPECT_EQ(dyn.State().residual_mass, scan);
+    for (double r : path->Residuals()) scan += r;
+    EXPECT_EQ(path->State().residual_mass, scan);
 
     // The state itself is still correct (the graph is back to baseline).
-    std::vector<double> fresh = PowerIterationPpr(bg.g, bg.paul, opts);
     for (NodeId t = 0; t < bg.g.NumNodes(); ++t) {
-      EXPECT_NEAR(dyn.Estimate(t), fresh[t], kTol) << "t=" << t;
+      EXPECT_NEAR(path->Estimate(t), fresh[t], kTol) << "t=" << t;
     }
   }
 }
@@ -158,7 +201,7 @@ TEST(DynamicPushTest, NodeBecomingDanglingAndBack) {
 
   PprOptions opts;
   opts.epsilon = 1e-10;
-  DynamicForwardPush<HinGraph> dyn(g, a, opts);
+  BothPaths dyn(g, a, opts);
 
   // b loses its only out-edge -> becomes dangling.
   dyn.BeforeOutEdgeChange(b);

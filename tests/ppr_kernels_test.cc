@@ -337,25 +337,19 @@ TEST(KernelDeadlineTest, ExpiredDeadlineUnwindsEveryEngine) {
                DeadlineExceededError);
   EXPECT_THROW(ReversePushKernel(g, rh.items[0], opts, ws),
                DeadlineExceededError);
-  EXPECT_THROW(ForwardPushKernelFast(g, rh.users[0], opts, ws),
-               DeadlineExceededError);
-  EXPECT_THROW(ReversePushKernelFast(g, rh.items[0], opts, ws),
-               DeadlineExceededError);
-  EXPECT_THROW(ReversePushBatchKernel(g, {rh.items[0], rh.items[1]}, opts, ws),
-               DeadlineExceededError);
   EXPECT_THROW(ForwardPush(rh.g, rh.users[0], opts), DeadlineExceededError);
   EXPECT_THROW(ReversePush(rh.g, rh.items[0], opts), DeadlineExceededError);
   EXPECT_THROW(PowerIterationPpr(rh.g, rh.users[0], opts),
                DeadlineExceededError);
 
-  // The unwind mid-push (including mid-batched-push) leaves the workspace
-  // rebuildable: the next Begin starts a fresh epoch, and a clean run on
-  // the survivor matches a cold workspace bitwise.
+  // The unwind mid-push leaves the workspace rebuildable: the next Begin
+  // starts a fresh epoch, and a clean run on the survivor matches a cold
+  // workspace bitwise.
   opts.deadline = nullptr;
-  KernelResult kr = ForwardPushKernelFast(g, rh.users[0], opts, ws);
+  KernelResult kr = ForwardPushKernel(g, rh.users[0], opts, ws);
   PushResult survivor = ExportDensePush(ws, g.NumNodes(), kr.residual_mass);
   PushWorkspace cold;
-  KernelResult ck = ForwardPushKernelFast(g, rh.users[0], opts, cold);
+  KernelResult ck = ForwardPushKernel(g, rh.users[0], opts, cold);
   PushResult fresh = ExportDensePush(cold, g.NumNodes(), ck.residual_mass);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_EQ(survivor.estimate[v], fresh.estimate[v]);
@@ -387,233 +381,6 @@ TEST(KernelDeadlineTest, UnexpiredAndAbsentDeadlinesChangeNothing) {
     EXPECT_EQ(guarded_dense.residual[v], base_dense.residual[v]);
   }
   EXPECT_EQ(kr.pushes, baseline.pushes);
-}
-
-// ---------------------------------------------------------------------------
-// kFast: schedule-free priority kernels. The correctness oracle is the
-// Eq. 3 / Eq. 4 residual identity plus the termination threshold — NOT
-// bitwise identity with the legacy schedule (which kFast deliberately
-// abandons for best-residual-first ordering).
-
-TEST(FastKernelTest, ForwardSatisfiesEq3AndTermination) {
-  Rng rng(47);
-  test::BookGraph bg = test::MakeBookGraph();
-  test::RandomHin rh = test::MakeRandomHin(rng, 8, 24, 3, 6);
-  PprOptions opts;
-  opts.epsilon = 1e-9;
-  PushWorkspace ws;
-  struct Case {
-    const HinGraph* g;
-    NodeId source;
-  };
-  std::vector<Case> cases;
-  for (NodeId s = 0; s < bg.g.NumNodes(); ++s) cases.push_back({&bg.g, s});
-  cases.push_back({&rh.g, rh.users[0]});
-  cases.push_back({&rh.g, rh.users[3]});
-  for (const Case& c : cases) {
-    KernelResult kr = ForwardPushKernelFast(*c.g, c.source, opts, ws);
-    PushResult fast = ExportDensePush(ws, c.g->NumNodes(), kr.residual_mass);
-    EXPECT_TRUE(
-        check::ValidateForwardPushInvariant(*c.g, c.source, fast, opts).ok());
-    // Termination: every node is below its degree-scaled threshold.
-    for (NodeId v = 0; v < c.g->NumNodes(); ++v) {
-      double thresh =
-          opts.epsilon * std::max<double>(c.g->OutDegree(v), 1.0);
-      EXPECT_LT(fast.residual[v], thresh) << "node " << v;
-      EXPECT_GE(fast.residual[v], 0.0) << "node " << v;
-    }
-    // And the estimates are the right numbers, not just a valid state.
-    std::vector<double> pi = PowerIterationPpr(*c.g, c.source, opts);
-    for (NodeId v = 0; v < c.g->NumNodes(); ++v) {
-      EXPECT_NEAR(fast.estimate[v], pi[v], 1e-5) << "node " << v;
-    }
-  }
-}
-
-TEST(FastKernelTest, ReverseSatisfiesEq4AndTermination) {
-  Rng rng(53);
-  test::BookGraph bg = test::MakeBookGraph();
-  test::RandomHin rh = test::MakeRandomHin(rng, 8, 24, 3, 6);
-  PprOptions opts;
-  opts.epsilon = 1e-9;
-  PushWorkspace ws;
-  struct Case {
-    const HinGraph* g;
-    NodeId target;
-  };
-  std::vector<Case> cases;
-  for (NodeId t = 0; t < bg.g.NumNodes(); ++t) cases.push_back({&bg.g, t});
-  cases.push_back({&rh.g, rh.items[0]});
-  cases.push_back({&rh.g, rh.items[5]});
-  for (const Case& c : cases) {
-    KernelResult kr = ReversePushKernelFast(*c.g, c.target, opts, ws);
-    PushResult fast = ExportDensePush(ws, c.g->NumNodes(), kr.residual_mass);
-    EXPECT_TRUE(
-        check::ValidateReversePushInvariant(*c.g, c.target, fast, opts).ok());
-    for (NodeId v = 0; v < c.g->NumNodes(); ++v) {
-      EXPECT_LT(std::abs(fast.residual[v]), opts.epsilon) << "node " << v;
-    }
-  }
-}
-
-TEST(FastKernelTest, DeterministicAcrossRunsAndWorkspaceReuse) {
-  test::BookGraph bg = test::MakeBookGraph();
-  PprOptions opts;
-  opts.epsilon = 1e-9;
-  // Same workspace reused across epochs, plus a cold workspace: all three
-  // runs must be bitwise identical — the priority schedule is a pure
-  // function of the graph and options, never of leftover state.
-  PushWorkspace warm;
-  KernelResult k1 = ForwardPushKernelFast(bg.g, bg.paul, opts, warm);
-  PushResult r1 = ExportDensePush(warm, bg.g.NumNodes(), k1.residual_mass);
-  KernelResult k2 = ForwardPushKernelFast(bg.g, bg.paul, opts, warm);
-  PushResult r2 = ExportDensePush(warm, bg.g.NumNodes(), k2.residual_mass);
-  PushWorkspace cold;
-  KernelResult k3 = ForwardPushKernelFast(bg.g, bg.paul, opts, cold);
-  PushResult r3 = ExportDensePush(cold, bg.g.NumNodes(), k3.residual_mass);
-  EXPECT_EQ(k1.pushes, k2.pushes);
-  EXPECT_EQ(k1.pushes, k3.pushes);
-  for (NodeId v = 0; v < bg.g.NumNodes(); ++v) {
-    EXPECT_EQ(r1.estimate[v], r2.estimate[v]);
-    EXPECT_EQ(r1.residual[v], r2.residual[v]);
-    EXPECT_EQ(r1.estimate[v], r3.estimate[v]);
-    EXPECT_EQ(r1.residual[v], r3.residual[v]);
-  }
-}
-
-TEST(FastKernelTest, BatchColumnsAgreeWithSingleTargetAndSatisfyEq4) {
-  Rng rng(61);
-  test::RandomHin rh = test::MakeRandomHin(rng, 10, 30, 3, 6);
-  PprOptions opts;
-  opts.epsilon = 1e-8;
-  std::vector<NodeId> targets = {rh.items[0], rh.items[3], rh.items[7],
-                                 rh.items[11]};
-  PushWorkspace ws;
-  BatchPushStats stats;
-  std::vector<PushResult> dense;
-  std::vector<SparseVector> cols =
-      ReversePushBatchKernel(rh.g, targets, opts, ws, &stats, &dense);
-  ASSERT_EQ(cols.size(), targets.size());
-  ASSERT_EQ(dense.size(), targets.size());
-  EXPECT_GT(stats.node_pops, 0u);
-  EXPECT_GE(stats.column_pushes, stats.node_pops);
-
-  PushWorkspace single_ws;
-  for (size_t c = 0; c < targets.size(); ++c) {
-    // Each column is a valid Eq. 4 state of its own.
-    EXPECT_TRUE(
-        check::ValidateReversePushInvariant(rh.g, targets[c], dense[c], opts)
-            .ok())
-        << "column " << c;
-    // The compacted column is the dense column.
-    for (NodeId s = 0; s < rh.g.NumNodes(); ++s) {
-      EXPECT_EQ(cols[c].Get(s), dense[c].estimate[s]);
-    }
-    // Two valid epsilon-approximations of the same PPR column may differ,
-    // but only within the push error bound (~epsilon/alpha per source).
-    ReversePushKernelFast(rh.g, targets[c], opts, single_ws);
-    for (NodeId s = 0; s < rh.g.NumNodes(); ++s) {
-      EXPECT_NEAR(single_ws.Estimate(s), dense[c].estimate[s],
-                  20.0 * opts.epsilon)
-          << "target " << targets[c] << " source " << s;
-    }
-  }
-
-  // Degenerate batch shapes.
-  EXPECT_TRUE(ReversePushBatchKernel(rh.g, {}, opts, ws).empty());
-  std::vector<SparseVector> one =
-      ReversePushBatchKernel(rh.g, {targets[0]}, opts, ws);
-  ASSERT_EQ(one.size(), 1u);
-  for (NodeId s = 0; s < rh.g.NumNodes(); ++s) {
-    EXPECT_NEAR(one[0].Get(s), dense[0].estimate[s], 20.0 * opts.epsilon);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Priority frontier unit tests (PushPriorityView): round ordering,
-// promotion, cost normalization, and the sub-epsilon floor shift.
-
-TEST(PriorityFrontierTest, DrainsHighestBucketFirst) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, /*epsilon=*/1e-9);
-  pq.Push(1, 1e-6, 1.0);
-  pq.Push(2, 1.0, 1.0);
-  pq.Push(3, 1e-3, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);
-  EXPECT_EQ(pq.Pop(), 3u);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, PromotionJumpsTheRoundQueue) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  pq.Push(1, 1e-6, 1.0);
-  pq.Push(2, 1.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);  // round tau is now ~1.0's bucket floor
-  // A key at/above tau enters the live ring directly instead of waiting
-  // for its bucket's round.
-  pq.Push(3, 2.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 3u);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, PromotedNodeLeavesStaleBucketEntryBehind) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  pq.Push(1, 1e-6, 1.0);  // filed low
-  pq.Push(2, 1.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);
-  pq.Push(1, 2.0, 1.0);  // promoted: ring now, bucket entry goes stale
-  EXPECT_EQ(pq.Pop(), 1u);
-  // The stale low-bucket entry must not produce a second pop of node 1.
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, CostNormalizationOrdersByMagnitudePerCost) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  // Node 1 has the larger raw magnitude but a hub-sized cost; its key
-  // 1.0/1024 loses to node 2's 0.5/1.
-  pq.Push(1, 1.0, 1024.0);
-  pq.Push(2, 0.5, 1.0);
-  EXPECT_EQ(pq.Pop(), 2u);
-  EXPECT_EQ(pq.Pop(), 1u);
-}
-
-TEST(PriorityFrontierTest, SubEpsilonKeysStillDiscriminate) {
-  // kPriorityFloorShift binades below epsilon stay ordered — dynamic
-  // repair seeds high-degree nodes whose keys sit below epsilon, and they
-  // must still drain best-first rather than collapse into one bucket.
-  constexpr double kEps = 1e-9;
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, kEps);
-  pq.Push(1, kEps / 16.0, 1.0);
-  pq.Push(2, kEps / 4.0, 1.0);
-  pq.Push(3, kEps * std::pow(2.0, -20), 1.0);  // below the floor: clamps
-  EXPECT_EQ(pq.Pop(), 2u);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), 3u);  // clamped, but never lost
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
-}
-
-TEST(PriorityFrontierTest, PopClearsStateSoNodesCanReenter) {
-  PushWorkspace ws;
-  ws.Begin(16);
-  PushPriorityView pq(ws, 1e-9);
-  pq.Push(1, 1.0, 1.0);
-  EXPECT_EQ(pq.Pop(), 1u);
-  // Popped nodes shed both the ring flag and the defer flag, so a later
-  // relaxation can re-file them.
-  pq.Push(1, 1e-4, 1.0);
-  EXPECT_EQ(pq.Pop(), 1u);
-  EXPECT_EQ(pq.Pop(), graph::kInvalidNode);
 }
 
 }  // namespace

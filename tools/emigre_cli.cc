@@ -75,7 +75,6 @@
 #include "obs/metrics.h"
 #include "obs/perfgate.h"
 #include "obs/query_log.h"
-#include "ppr/options.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "util/flags.h"
@@ -107,29 +106,6 @@ void AddObsFlags(FlagParser* parser) {
   parser->AddFlag("query-log",
                   "append one emigre.query.v1 record per Explain to FILE",
                   "");
-}
-
-/// Push-engine selection shared by the query subcommands. `fast` gives up
-/// bitwise replay against the other two engines for throughput on
-/// push-bound rows (docs/performance.md has the contract).
-void AddEngineFlag(FlagParser* parser) {
-  parser->AddFlag("push-engine", "PPR push schedule: legacy | kernel | fast",
-                  "kernel");
-}
-
-Status ApplyEngineFlag(const FlagParser& parser,
-                       explain::EmigreOptions* opts) {
-  std::string name = parser.GetString("push-engine").ValueOrDie();
-  if (name == "legacy") {
-    opts->rec.ppr.engine = ppr::PushEngine::kLegacy;
-  } else if (name == "kernel") {
-    opts->rec.ppr.engine = ppr::PushEngine::kKernel;
-  } else if (name == "fast") {
-    opts->rec.ppr.engine = ppr::PushEngine::kFast;
-  } else {
-    return Status::InvalidArgument("unknown --push-engine " + name);
-  }
-  return Status::OK();
 }
 
 /// Captures a registry baseline at construction; Finish() prints and/or
@@ -637,8 +613,6 @@ int RecommendOn(const G& g, const FlagParser& parser) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  Status st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
   int64_t user = parser.GetInt("user").ValueOrDie();
   if (user < 0 || !g.IsValidNode(static_cast<graph::NodeId>(user))) {
     return Fail(Status::InvalidArgument("--user must be a valid node id"));
@@ -662,7 +636,6 @@ int RunRecommend(const std::vector<std::string>& args) {
   parser.AddFlag("graph", "graph file or CSR snapshot", "");
   parser.AddFlag("user", "user node id", "-1");
   parser.AddFlag("top", "list length", "10");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -683,8 +656,6 @@ int ExplainOn(const G& g, const FlagParser& parser) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  Status st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
   opts.test_threads =
       static_cast<size_t>(parser.GetInt("test-threads").ValueOrDie());
   graph::NodeId user =
@@ -764,7 +735,6 @@ int RunExplain(const std::vector<std::string>& args) {
                  "candidate-verification threads (1=serial, 0=all cores); "
                  "deterministic at any setting, see docs/parallelism.md",
                  "1");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -792,7 +762,6 @@ int RunExperiment(const std::vector<std::string>& args) {
                  "(1=serial, 0=all cores); the runner caps scenario workers "
                  "so the product stays within the machine",
                  "1");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -805,8 +774,6 @@ int RunExperiment(const std::vector<std::string>& args) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
   opts.deadline_seconds = parser.GetDouble("deadline").ValueOrDie();
   opts.test_threads =
       static_cast<size_t>(parser.GetInt("test-threads").ValueOrDie());
@@ -860,7 +827,6 @@ int RunSelfCheck(const std::vector<std::string>& args) {
   parser.AddFlag("samples", "sampled sources/targets per PPR suite", "3");
   parser.AddFlag("edits", "random edge edits exercised", "3");
   parser.AddFlag("seed", "sampling seed", "20240416");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -871,8 +837,6 @@ int RunSelfCheck(const std::vector<std::string>& args) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
   if (!optsr.ok()) return Fail(optsr.status());
   explain::EmigreOptions opts = std::move(optsr).value();
-  st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
 
   check::SelfCheckOptions sc;
   std::string level = parser.GetString("level").ValueOrDie();
@@ -908,7 +872,6 @@ int RunChaos(const std::vector<std::string>& args) {
   parser.AddFlag("items", "synthetic dataset items", "400");
   parser.AddFlag("test-threads",
                  "candidate-verification threads during the soak", "2");
-  AddEngineFlag(&parser);
   AddObsFlags(&parser);
   Status st = parser.Parse(args);
   if (!st.ok()) return Fail(st);
@@ -938,8 +901,6 @@ int RunChaos(const std::vector<std::string>& args) {
   }
   opts.add_edge_type = lite->graph.FindEdgeType("rated");
   opts.deadline_seconds = 2.0;
-  st = ApplyEngineFlag(parser, &opts);
-  if (!st.ok()) return Fail(st);
 
   ObsSession obs(parser);
   if (!obs.init_status().ok()) return Fail(obs.init_status());
