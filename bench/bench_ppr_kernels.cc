@@ -17,6 +17,12 @@
 //             scan plus a dense queued array PER CANDIDATE; the sparse
 //             refine seeds from the repaired row only, so where repairs are
 //             local it must win outright.
+//   top1    — the exact TEST's question, "which item is top-1?", for every
+//             evaluation user: the certified workspace `recsys::Recommend`,
+//             which stops power iteration once the winner is provably
+//             settled, against the allocating `Recommend` (a full
+//             `PowerIterationPpr` plus the ranking). "legacy" is the full
+//             solve, "kernel" the certified one, "work" its sweeps.
 //
 // The guarantees are checked, not just reported — any violation exits 1:
 //   1. Bitwise equality: kernel estimates and residuals equal the dense
@@ -28,6 +34,8 @@
 //   3. The kernel path is strictly faster on the local-repair rows and their
 //      aggregate (the per-candidate O(n) this layer deletes), and within
 //      noise of the reference on the push-bound repair rows.
+//   4. The certified top-1 names the same item as the full solve for every
+//      user. (Its speedup is held >= 1.0 by a perfgate floor.)
 
 #include <algorithm>
 #include <cstdio>
@@ -42,6 +50,7 @@
 #include "ppr/options.h"
 #include "ppr/reverse_push.h"
 #include "ppr/workspace.h"
+#include "recsys/recommender.h"
 #include "util/string_util.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -300,6 +309,60 @@ int main() {
       kernel_total += rep.kernel_seconds;
       rows.push_back(rep);
     }
+  }
+
+  // Certified top-1 vs the full solve, best-of-`rounds` like the rows
+  // above. Not part of the push totals: it measures power iteration.
+  {
+    recsys::RecommenderOptions rec_opts;
+    rec_opts.item_type = lite->item_type;
+    ppr::PushWorkspace top1_ws;
+    const obs::Counter& sweeps =
+        obs::Registry::Global().GetCounter("ppr.power.iterations");
+    SweepRow top1{"top1"};
+    size_t reference_sweeps = 0;
+    WallTimer timer;
+    for (size_t round = 0; round < rounds; ++round) {
+      std::vector<graph::NodeId> full, certified;
+      uint64_t before = sweeps.Value();
+      timer.Reset();
+      for (graph::NodeId u : lite->eval_users) {
+        full.push_back(recsys::Recommend(g, u, rec_opts));
+      }
+      double seconds = timer.ElapsedSeconds();
+      top1.legacy_seconds =
+          round == 0 ? seconds : std::min(top1.legacy_seconds, seconds);
+      reference_sweeps = sweeps.Value() - before;
+
+      before = sweeps.Value();
+      timer.Reset();
+      for (graph::NodeId u : lite->eval_users) {
+        certified.push_back(recsys::Recommend(g, u, rec_opts, &top1_ws));
+      }
+      seconds = timer.ElapsedSeconds();
+      top1.kernel_seconds =
+          round == 0 ? seconds : std::min(top1.kernel_seconds, seconds);
+      top1.work = sweeps.Value() - before;
+
+      for (size_t i = 0; i < full.size(); ++i) {
+        if (full[i] != certified[i]) {
+          std::fprintf(stderr,
+                       "EQUIVALENCE VIOLATION: certified top-1 %u != full "
+                       "solve's %u (user %u)\n",
+                       certified[i], full[i], lite->eval_users[i]);
+          ok = false;
+        }
+      }
+    }
+    obs::Registry::Global()
+        .GetGauge("bench.ppr_kernels.top1.reference_sweeps")
+        .Set(static_cast<double>(reference_sweeps));
+    obs::Registry::Global()
+        .GetGauge("bench.ppr_kernels.top1.certified_sweeps")
+        .Set(static_cast<double>(top1.work));
+    std::printf("top1: %zu users, %zu sweeps full vs %zu certified\n",
+                lite->eval_users.size(), reference_sweeps, top1.work);
+    rows.push_back(top1);
   }
 
   if (ws.stats().dense_resets != resets_after_warmup) {

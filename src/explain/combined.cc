@@ -6,6 +6,7 @@
 #include "obs/trace.h"
 #include "explain/search_space.h"
 #include "explain/tester.h"
+#include "ppr/workspace.h"
 #include "recsys/recommender.h"
 #include "util/timer.h"
 
@@ -18,8 +19,8 @@ Result<CombinedExplanation> RunCombinedIncremental(const graph::HinGraph& g,
   WallTimer timer;
   internal::SearchBudget budget(opts);
 
-  recsys::RecommendationList ranking = recsys::RankItems(g, q.user, opts.rec);
-  graph::NodeId rec = ranking.Top();
+  ppr::PushWorkspace ws;
+  graph::NodeId rec = recsys::Recommend(g, q.user, opts.rec, &ws);
 
   EMIGRE_ASSIGN_OR_RETURN(
       SearchSpace remove_space,

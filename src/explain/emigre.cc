@@ -22,6 +22,7 @@
 #include "graph/csr_snapshot.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "ppr/workspace.h"
 #include "recsys/recommender.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -180,7 +181,7 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
       check::DcheckOk(check::ValidateGraphView(*g_), "Emigre::Explain(graph)");
     }
   }
-  // Node-id bounds come first: CurrentRanking indexes adjacency by q.user,
+  // Node-id bounds come first: the ranking indexes adjacency by q.user,
   // so an invalid id must be rejected before ranking (caught by ASan).
   if (!g_->IsValidNode(q.user)) {
     return Status::InvalidArgument(StrFormat("invalid user %u", q.user));
@@ -190,8 +191,20 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
         StrFormat("invalid Why-Not item %u", q.why_not_item));
   }
   WallTimer phase_timer;
-  recsys::RecommendationList ranking = CurrentRanking(q.user);
-  graph::NodeId rec = ranking.Top();
+  // Only the Exhaustive heuristics need the full ranking (their targets);
+  // the rest need `rec` alone, the certified top-1 over the engine's CSR
+  // snapshot (same edges in the same order as *g_, so the same sweeps).
+  const bool needs_ranking = heuristic == Heuristic::kExhaustive ||
+                             heuristic == Heuristic::kExhaustiveDirect;
+  recsys::RecommendationList ranking;
+  graph::NodeId rec = graph::kInvalidNode;
+  if (needs_ranking) {
+    ranking = CurrentRanking(q.user);
+    rec = ranking.Top();
+  } else {
+    ppr::PushWorkspace ws;
+    rec = recsys::Recommend(csr_, q.user, opts_.rec, &ws);
+  }
   EMIGRE_RETURN_IF_ERROR(ValidateQuestion(q, rec));
   if (record != nullptr) {
     record->phase_seconds.emplace_back("ranking", phase_timer.ElapsedSeconds());

@@ -5,6 +5,7 @@
 #include "graph/overlay.h"
 #include "obs/trace.h"
 #include "ppr/reverse_push.h"
+#include "ppr/workspace.h"
 #include "recsys/recommender.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -52,7 +53,9 @@ Result<PrinceResult> RunPrince(const HinGraph& g, NodeId user,
       ppr::ReversePush(g, rec, opts.emigre.rec.ppr).estimate;
 
   // Try each top-ranked item as the replacement r*; keep the smallest
-  // verified swap set.
+  // verified swap set. Every re-rank asks only for the top-1, so it runs
+  // the certified `Recommend` on one workspace for the whole search.
+  ppr::PushWorkspace ws;
   size_t num_candidates =
       std::min(opts.replacement_candidates, ranking.size());
   for (size_t ci = 1; ci < num_candidates; ++ci) {
@@ -83,7 +86,7 @@ Result<PrinceResult> RunPrince(const HinGraph& g, NodeId user,
       overlay.RemoveEdge(edge.src, edge.dst, edge.type).CheckOK();
       removed.push_back(edge);
       ++result.tests_performed;
-      NodeId new_top = recsys::Recommend(overlay, user, opts.emigre.rec);
+      NodeId new_top = recsys::Recommend(overlay, user, opts.emigre.rec, &ws);
       if (new_top != rec && new_top != graph::kInvalidNode) {
         if (!result.found || removed.size() < result.actions.size()) {
           result.found = true;

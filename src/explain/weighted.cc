@@ -6,6 +6,7 @@
 #include "obs/trace.h"
 #include "explain/search_space.h"
 #include "graph/overlay.h"
+#include "ppr/workspace.h"
 #include "recsys/recommender.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -20,11 +21,11 @@ using graph::HinGraph;
 using graph::NodeId;
 
 /// Applies all adjustments to a fresh overlay and checks whether the WNI
-/// tops the list.
+/// tops the list (the certified top-1, on the search's workspace `ws`).
 bool TestAdjustments(const HinGraph& g, NodeId user, NodeId wni,
                      const std::vector<WeightAdjustment>& adjustments,
-                     const EmigreOptions& opts, NodeId* new_rec,
-                     size_t* tests) {
+                     const EmigreOptions& opts, ppr::PushWorkspace& ws,
+                     NodeId* new_rec, size_t* tests) {
   ++*tests;
   GraphOverlay overlay(g);
   for (const WeightAdjustment& adj : adjustments) {
@@ -36,7 +37,7 @@ bool TestAdjustments(const HinGraph& g, NodeId user, NodeId wni,
       return false;
     }
   }
-  NodeId top = recsys::Recommend(overlay, user, opts.rec);
+  NodeId top = recsys::Recommend(overlay, user, opts.rec, &ws);
   if (new_rec != nullptr) *new_rec = top;
   return top == wni;
 }
@@ -55,8 +56,8 @@ Result<WeightedExplanation> RunWeightedIncremental(
   WallTimer timer;
   internal::SearchBudget budget(opts);
 
-  recsys::RecommendationList ranking = recsys::RankItems(g, q.user, opts.rec);
-  NodeId rec = ranking.Top();
+  ppr::PushWorkspace ws;
+  NodeId rec = recsys::Recommend(g, q.user, opts.rec, &ws);
   // Reuse Algorithm 1's per-neighbor PPR scores; its action list is exactly
   // the adjustable-edge universe.
   EMIGRE_ASSIGN_OR_RETURN(
@@ -125,7 +126,7 @@ Result<WeightedExplanation> RunWeightedIncremental(
     gap -= move.gap_reduction;
     if (gap <= 0.0) {
       NodeId new_rec = graph::kInvalidNode;
-      if (TestAdjustments(g, q.user, q.why_not_item, accumulated, opts,
+      if (TestAdjustments(g, q.user, q.why_not_item, accumulated, opts, ws,
                           &new_rec, &out.tests_performed)) {
         out.new_rec = new_rec;
         success = true;
@@ -146,8 +147,8 @@ Result<WeightedExplanation> RunWeightedIncremental(
     std::vector<WeightAdjustment> trial = accumulated;
     trial.erase(trial.begin() + static_cast<ptrdiff_t>(i - 1));
     NodeId new_rec = graph::kInvalidNode;
-    if (TestAdjustments(g, q.user, q.why_not_item, trial, opts, &new_rec,
-                        &out.tests_performed)) {
+    if (TestAdjustments(g, q.user, q.why_not_item, trial, opts, ws,
+                        &new_rec, &out.tests_performed)) {
       accumulated = std::move(trial);
       out.new_rec = new_rec;
     }

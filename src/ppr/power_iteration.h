@@ -31,11 +31,18 @@ namespace emigre::ppr {
 /// `PushWorkspace::DenseBuffer`) and reuses the workspace's second buffer
 /// as the iteration scratch — the distribution is inherently dense, so the
 /// workspace contribution here is only allocation reuse, not sparsity; the
-/// arithmetic is identical to `PowerIterationPpr`.
-template <graph::GraphLike G>
+/// arithmetic is identical to `PowerIterationPpr`. After every sweep that
+/// did not converge it calls `stop(p, delta)` with the new iterate and the
+/// sweep's L1 change; returning true ends the solve there (counted in
+/// `ppr.power.certified`), so only the number of sweeps can differ from
+/// `PowerIterationPpr`. Because the sweep is an L1 contraction with factor
+/// (1−α), the returned vector is within (1−α)/α · delta of the fixed
+/// point; `recsys::Recommend` uses that bound to stop once its top-1 is
+/// settled.
+template <graph::GraphLike G, typename StopFn>
 void PowerIterationPprInto(const G& g, graph::NodeId seed,
                            const PprOptions& opts, PushWorkspace& ws,
-                           std::vector<double>** result) {
+                           std::vector<double>** result, StopFn&& stop) {
   EMIGRE_SPAN("power");
   const size_t n = g.NumNodes();
   std::vector<double>* p = &ws.DenseBuffer(0, n);
@@ -46,6 +53,7 @@ void PowerIterationPprInto(const G& g, graph::NodeId seed,
   (*p)[seed] = 1.0;
 
   size_t iterations = 0;
+  bool stopped = false;
   for (size_t iter = 0; iter < opts.max_power_iterations; ++iter) {
     // One iteration is an O(edges) sweep, so check the deadline per
     // iteration rather than per push.
@@ -74,10 +82,15 @@ void PowerIterationPprInto(const G& g, graph::NodeId seed,
     std::swap(p, next);
     *result = p;
     if (delta < opts.power_tolerance) break;
+    if (stop(*p, delta)) {
+      stopped = true;
+      break;
+    }
   }
 
   EMIGRE_COUNTER("ppr.power.calls").Increment();
   EMIGRE_COUNTER("ppr.power.iterations").Increment(iterations);
+  if (stopped) EMIGRE_COUNTER("ppr.power.certified").Increment();
 }
 
 template <graph::GraphLike G>

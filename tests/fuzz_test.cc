@@ -4,23 +4,30 @@
 // must keep the invariants" checks: graph mutation storms stay consistent,
 // overlays always mirror an equivalently mutated copy, PPR stays a
 // distribution, CSV round-trips arbitrary field content, graph I/O
-// round-trips randomly generated graphs, and the exact TEST agrees with an
-// independent dense replay on every search-space candidate.
+// round-trips randomly generated graphs, the exact TEST agrees with an
+// independent dense replay on every search-space candidate, and the
+// certified top-1 agrees with the fully converged ranking.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "explain/search_space.h"
 #include "explain/tester.h"
+#include "graph/csr.h"
+#include "graph/csr_overlay.h"
 #include "graph/csr_snapshot.h"
 #include "graph/hin_graph.h"
 #include "graph/io.h"
 #include "graph/overlay.h"
 #include "graph/validate.h"
+#include "obs/metrics.h"
 #include "ppr/power_iteration.h"
+#include "ppr/workspace.h"
 #include "recsys/recommender.h"
 #include "test_util.h"
 #include "util/csv.h"
@@ -295,6 +302,151 @@ TEST(TesterOracleFuzzTest, ExactTestMatchesDenseReplayOnHeapAndMmap) {
     ASSERT_TRUE(view.ok()) << view.status();
     EXPECT_GT(ExpectTesterMatchesDenseReplay(view.value(), rh, opts), 0u);
   }
+}
+
+// The certified top-1 (the workspace `recsys::Recommend`) stops power
+// iteration once its leader is provably settled. Its oracle is the
+// allocating `RankItems`, which always solves to tolerance. On random HINs,
+// some with an item cloned into an exact twin of a user's top item, and
+// under random CsrOverlay edit sets, both must name the same top-1 for
+// every user, on heap and mmap CSR backings. Where the certificate fired,
+// the stop is also checked against the bound itself, recomputed from the
+// reference iterates: the gap must clear 2E + slack at the stopping sweep
+// and not at the sweep before, so a looser or tighter bound fails here even
+// when it happens to pick the same item.
+struct CertifiedTopStats {
+  size_t compared = 0;
+  size_t certified = 0;
+  size_t ties = 0;
+};
+
+/// (top-two gap, L1 change) after exactly `sweeps` reference sweeps.
+std::pair<double, double> ReferenceGapAndDelta(
+    const graph::CsrOverlay& o, NodeId user,
+    const recsys::RecommenderOptions& opts, size_t sweeps) {
+  recsys::RecommenderOptions capped = opts;
+  capped.ppr.max_power_iterations = sweeps;
+  recsys::RecommendationList list = recsys::RankItems(o, user, capped);
+  std::vector<double> p = ppr::PowerIterationPpr(o, user, capped.ppr);
+  capped.ppr.max_power_iterations = sweeps - 1;
+  std::vector<double> prev = ppr::PowerIterationPpr(o, user, capped.ppr);
+  double delta = 0.0;
+  for (size_t i = 0; i < p.size(); ++i) delta += std::abs(p[i] - prev[i]);
+  return {list.at(0).score - list.at(1).score, delta};
+}
+
+void ExpectCertifiedTopMatches(const graph::CsrGraph& csr,
+                               const test::RandomHin& rh,
+                               const recsys::RecommenderOptions& opts,
+                               Rng& rng, ppr::PushWorkspace& ws,
+                               CertifiedTopStats* stats) {
+  obs::Counter& sweeps = obs::Registry::Global().GetCounter(
+      "ppr.power.iterations");
+  obs::Counter& certified = obs::Registry::Global().GetCounter(
+      "ppr.power.certified");
+  const double alpha = opts.ppr.alpha;
+  graph::CsrOverlay overlay(csr);
+  for (int edit_set = 0; edit_set < 4; ++edit_set) {
+    overlay.Clear();
+    // Edit set 0 is the base graph; the others remove random edges and add
+    // random weighted ratings.
+    for (int e = 0; e < edit_set * 3; ++e) {
+      NodeId src = static_cast<NodeId>(rng.NextBounded(csr.NumNodes()));
+      if (rng.NextBool()) {
+        std::vector<std::pair<NodeId, EdgeTypeId>> row;
+        overlay.ForEachOutEdge(src, [&](NodeId d, EdgeTypeId t, double) {
+          row.emplace_back(d, t);
+        });
+        if (row.empty()) continue;
+        auto [dst, type] = row[rng.NextBounded(row.size())];
+        (void)overlay.RemoveEdge(src, dst, type);
+      } else {
+        NodeId user = rh.users[rng.NextBounded(rh.users.size())];
+        NodeId item = rh.items[rng.NextBounded(rh.items.size())];
+        (void)overlay.AddEdge(user, item, rh.rated, rng.NextDouble(0.2, 3.0));
+      }
+    }
+    for (NodeId user : rh.users) {
+      SCOPED_TRACE(testing::Message() << "edit set " << edit_set << " user "
+                                      << user);
+      recsys::RecommendationList reference =
+          recsys::RankItems(overlay, user, opts);
+      const uint64_t sweeps_before = sweeps.Value();
+      const uint64_t certified_before = certified.Value();
+      NodeId got = recsys::Recommend(overlay, user, opts, &ws);
+      ASSERT_EQ(got, reference.Top());
+      ++stats->compared;
+      if (reference.size() >= 2 &&
+          reference.at(0).score == reference.at(1).score) {
+        ++stats->ties;
+      }
+      if (certified.Value() == certified_before) continue;
+      ++stats->certified;
+      const size_t stop = sweeps.Value() - sweeps_before;
+      ASSERT_GE(stop, 1u);
+      auto [gap, delta] = ReferenceGapAndDelta(overlay, user, opts, stop);
+      EXPECT_GT(gap, 2.0 * (1.0 - alpha) / alpha * delta +
+                         recsys::kTop1CertificateSlack)
+          << "certified at sweep " << stop << " without the bound";
+      if (stop >= 2) {
+        auto [prev_gap, prev_delta] =
+            ReferenceGapAndDelta(overlay, user, opts, stop - 1);
+        EXPECT_LE(prev_gap, 2.0 * (1.0 - alpha) / alpha * prev_delta +
+                                recsys::kTop1CertificateSlack)
+            << "the bound already held at sweep " << stop - 1;
+      }
+    }
+  }
+}
+
+/// Adds a twin of `item`: a new item node with the same in- and out-edges
+/// (same types and weights), so the two score exactly alike.
+void AddTwin(test::RandomHin* rh, NodeId item) {
+  HinGraph& g = rh->g;
+  NodeId twin = g.AddNode(rh->item_type);
+  std::vector<graph::Edge> out(g.OutEdges(item).begin(),
+                               g.OutEdges(item).end());
+  std::vector<graph::Edge> in(g.InEdges(item).begin(), g.InEdges(item).end());
+  for (const graph::Edge& e : out) {
+    g.AddEdge(twin, e.node, e.type, e.weight).CheckOK();
+  }
+  for (const graph::Edge& e : in) {
+    g.AddEdge(e.node, twin, e.type, e.weight).CheckOK();
+  }
+  rh->items.push_back(twin);
+}
+
+TEST(CertifiedTopFuzzTest, CertifiedTopMatchesReference) {
+  Rng rng(0x70B1);
+  std::string dir = test::MakeTempDir("certified_top");
+  CertifiedTopStats stats;
+  ppr::PushWorkspace ws;  // one workspace across every graph and backing
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    test::RandomHin rh = test::MakeRandomHin(rng, 6, 18, 3, 4);
+    recsys::RecommenderOptions opts = test::MakeRandomHinOptions(rh).rec;
+    if (trial % 2 == 1) {
+      // Force exact ties at the top: clone two users' current top items.
+      for (size_t u = 0; u < 2; ++u) {
+        NodeId top = recsys::Recommend(rh.g, rh.users[u], opts);
+        if (top != graph::kInvalidNode) AddTwin(&rh, top);
+      }
+    }
+    // Both backings see the same edit sets.
+    graph::CsrGraph heap(rh.g);
+    Rng heap_rng = rng;
+    ExpectCertifiedTopMatches(heap, rh, opts, heap_rng, ws, &stats);
+
+    std::string path = dir + "/g" + std::to_string(trial) + ".csr";
+    ASSERT_TRUE(graph::WriteGraphSnapshot(rh.g, path).ok());
+    auto view = graph::CsrSnapshotView::Load(path);
+    ASSERT_TRUE(view.ok()) << view.status();
+    ExpectCertifiedTopMatches(view->csr(), rh, opts, rng, ws, &stats);
+  }
+  // The sweep exercised both outcomes: certified stops and exact ties that
+  // had to run to tolerance.
+  EXPECT_GT(stats.certified, stats.compared / 4);
+  EXPECT_GT(stats.ties, 0u);
 }
 
 }  // namespace

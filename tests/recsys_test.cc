@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "graph/csr.h"
+#include "graph/csr_overlay.h"
 #include "graph/overlay.h"
+#include "obs/metrics.h"
 #include "ppr/power_iteration.h"
+#include "ppr/workspace.h"
 #include "recsys/recwalk.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -128,6 +134,168 @@ TEST(RecommenderTest, UserWithNoCandidatesGetsEmptyList) {
   opts.item_type = item_type;
   EXPECT_TRUE(RankItems(g, u, opts).empty());
   EXPECT_EQ(Recommend(g, u, opts), graph::kInvalidNode);
+  ppr::PushWorkspace ws;
+  EXPECT_EQ(Recommend(g, u, opts, &ws), graph::kInvalidNode);
+}
+
+// ---------------------------------------------------------------------------
+// Certified top-1 (the workspace Recommend). Every case must name the item
+// the allocating RankItems ranks first.
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name).Value();
+}
+
+/// Power-iteration sweeps and certified stops spent inside `solve`.
+struct SolveCounts {
+  uint64_t sweeps = 0;
+  uint64_t certified = 0;
+};
+
+template <typename F>
+SolveCounts CountSolve(F&& solve) {
+  const uint64_t sweeps = CounterValue("ppr.power.iterations");
+  const uint64_t certified = CounterValue("ppr.power.certified");
+  solve();
+  return {CounterValue("ppr.power.iterations") - sweeps,
+          CounterValue("ppr.power.certified") - certified};
+}
+
+/// A user who rated one hub item, and items behind the hub's category: two
+/// twins (with the default weight, mirrored edges that tie exactly at every
+/// sweep) and a weaker item.
+struct TwinGraph {
+  graph::HinGraph g;
+  graph::NodeTypeId item_type;
+  NodeId user, hub, twin_a, twin_b, weak;
+};
+
+TwinGraph MakeTwinGraph(double twin_b_weight = 2.0) {
+  TwinGraph t;
+  graph::NodeTypeId user_type = t.g.RegisterNodeType("user");
+  t.item_type = t.g.RegisterNodeType("item");
+  graph::NodeTypeId cat_type = t.g.RegisterNodeType("category");
+  graph::EdgeTypeId rated = t.g.RegisterEdgeType("rated");
+  graph::EdgeTypeId belongs = t.g.RegisterEdgeType("belongs-to");
+  t.user = t.g.AddNode(user_type);
+  t.hub = t.g.AddNode(t.item_type);
+  t.twin_a = t.g.AddNode(t.item_type);
+  t.twin_b = t.g.AddNode(t.item_type);
+  t.weak = t.g.AddNode(t.item_type);
+  NodeId cat = t.g.AddNode(cat_type);
+  t.g.AddBidirectional(t.user, t.hub, rated).CheckOK();
+  t.g.AddBidirectional(t.hub, cat, belongs).CheckOK();
+  t.g.AddBidirectional(t.twin_a, cat, belongs, 2.0).CheckOK();
+  t.g.AddBidirectional(t.twin_b, cat, belongs, twin_b_weight).CheckOK();
+  t.g.AddBidirectional(t.weak, cat, belongs, 0.5).CheckOK();
+  return t;
+}
+
+TEST(CertifiedTopTest, ExactTieRunsToConvergenceAndKeepsLowestId) {
+  TwinGraph t = MakeTwinGraph();
+  RecommenderOptions opts;
+  opts.item_type = t.item_type;
+  NodeId want = graph::kInvalidNode;
+  SolveCounts reference = CountSolve([&] {
+    RecommendationList list = RankItems(t.g, t.user, opts);
+    ASSERT_GE(list.size(), 2u);
+    ASSERT_EQ(list.at(0).score, list.at(1).score);  // the tie is exact
+    want = list.Top();
+  });
+  EXPECT_EQ(want, t.twin_a);
+
+  ppr::PushWorkspace ws;
+  NodeId got = graph::kInvalidNode;
+  SolveCounts certified =
+      CountSolve([&] { got = Recommend(t.g, t.user, opts, &ws); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(certified.sweeps, reference.sweeps);
+  EXPECT_EQ(certified.certified, 0u);
+}
+
+TEST(CertifiedTopTest, ClearWinnerStopsInFewerSweeps) {
+  // A lighter second twin leaves the first one clearly ahead; the
+  // certificate must fire well before the tolerance does.
+  TwinGraph t = MakeTwinGraph(/*twin_b_weight=*/1.0);
+  RecommenderOptions opts;
+  opts.item_type = t.item_type;
+  NodeId want = graph::kInvalidNode;
+  SolveCounts reference =
+      CountSolve([&] { want = RankItems(t.g, t.user, opts).Top(); });
+  EXPECT_EQ(want, t.twin_a);
+
+  ppr::PushWorkspace ws;
+  NodeId got = graph::kInvalidNode;
+  SolveCounts certified =
+      CountSolve([&] { got = Recommend(t.g, t.user, opts, &ws); });
+  EXPECT_EQ(got, want);
+  EXPECT_LT(certified.sweeps, reference.sweeps);
+  EXPECT_EQ(certified.certified, 1u);
+}
+
+TEST(CertifiedTopTest, OneCandidate) {
+  graph::HinGraph g;
+  graph::NodeTypeId user_type = g.RegisterNodeType("user");
+  graph::NodeTypeId item_type = g.RegisterNodeType("item");
+  graph::EdgeTypeId rated = g.RegisterEdgeType("rated");
+  NodeId u = g.AddNode(user_type);
+  NodeId seen = g.AddNode(item_type);
+  NodeId fresh = g.AddNode(item_type);
+  ASSERT_TRUE(g.AddBidirectional(u, seen, rated).ok());
+  RecommenderOptions opts;
+  opts.item_type = item_type;
+  ppr::PushWorkspace ws;
+  EXPECT_EQ(RankItems(g, u, opts).Top(), fresh);
+  EXPECT_EQ(Recommend(g, u, opts, &ws), fresh);
+}
+
+TEST(CertifiedTopTest, DanglingUser) {
+  // A user with no out-edges keeps all mass: every item scores 0.
+  test::BookGraph bg = test::MakeBookGraph();
+  NodeId loner = bg.g.AddNode(bg.user_type);
+  RecommenderOptions opts;
+  opts.item_type = bg.item_type;
+  ppr::PushWorkspace ws;
+  NodeId want = RankItems(bg.g, loner, opts).Top();
+  EXPECT_NE(want, graph::kInvalidNode);
+  EXPECT_EQ(Recommend(bg.g, loner, opts, &ws), want);
+}
+
+TEST(CertifiedTopTest, UserBeyondNumNodes) {
+  // Out-of-range users score nothing: the reference returns the lowest-id
+  // candidate over all-zero scores, and neither path may index the user.
+  test::BookGraph bg = test::MakeBookGraph();
+  graph::CsrGraph csr(bg.g);
+  graph::CsrOverlay overlay(csr);
+  RecommenderOptions opts;
+  opts.item_type = bg.item_type;
+  ppr::PushWorkspace ws;
+  std::vector<NodeId> items = bg.g.NodesOfType(bg.item_type);
+  NodeId lowest = *std::min_element(items.begin(), items.end());
+  for (NodeId user : {static_cast<NodeId>(bg.g.NumNodes()),
+                      static_cast<NodeId>(bg.g.NumNodes() + 7)}) {
+    EXPECT_EQ(RankItems(bg.g, user, opts).Top(), lowest);
+    EXPECT_EQ(Recommend(bg.g, user, opts, &ws), lowest);
+    EXPECT_EQ(RankItems(overlay, user, opts).Top(), lowest);
+    EXPECT_EQ(Recommend(overlay, user, opts, &ws), lowest);
+  }
+}
+
+TEST(CertifiedTopTest, ForwardPushScorerMatchesAllocatingRanking) {
+  // The workspace path scores forward push with the kernel; its top-1 is
+  // the allocating ranking's.
+  Rng rng(57);
+  test::RandomHin rh = test::MakeRandomHin(rng, 6, 20, 3, 6);
+  RecommenderOptions opts;
+  opts.item_type = rh.item_type;
+  opts.scorer = Scorer::kForwardPush;
+  opts.ppr.epsilon = 1e-6;
+  ppr::PushWorkspace ws;
+  for (NodeId user : rh.users) {
+    EXPECT_EQ(Recommend(rh.g, user, opts, &ws),
+              RankItems(rh.g, user, opts).Top())
+        << "user " << user;
+  }
 }
 
 // ---------------------------------------------------------------------------
