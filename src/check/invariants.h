@@ -439,8 +439,9 @@ template <typename OverlayT>
 /// Only meaningful for explanations with `found && verified`; approximate
 /// testers may report unverified candidates that legitimately fail replay.
 ///
-/// Generic over the base graph `G` (`HinGraph` or an mmap-backed
-/// `CsrSnapshotView`): the replay runs on a `BasicGraphOverlay<G>`.
+/// Generic over the base graph `G` (a `HinGraph`, the engine's `CsrGraph`
+/// or an mmap-backed `CsrSnapshotView`): the replay runs on a
+/// `BasicGraphOverlay<G>`.
 template <graph::GraphLike G>
 [[nodiscard]] Status ValidateExplanation(
     const G& base, const explain::WhyNotQuestion& q,

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,27 +29,46 @@
 
 namespace emigre::explain {
 
-template <typename G>
-recsys::RecommendationList EmigreT<G>::CurrentRanking(
-    graph::NodeId user) const {
-  return recsys::RankItems(*g_, user, opts_.rec);
+Emigre::Emigre(graph::CsrGraph csr, EmigreOptions opts)
+    : opts_(std::move(opts)),
+      csr_(std::move(csr)),
+      ppr_cache_(std::make_unique<ppr::ReversePushCache<graph::CsrGraph>>(
+          csr_, opts_.rec.ppr)) {}
+
+// The engine reads only its own CSR graph, so validating the source once
+// here covers every query; the type-registry checks need the source itself.
+Emigre::Emigre(const graph::HinGraph& g, EmigreOptions opts)
+    : Emigre(graph::CsrGraph(g), std::move(opts)) {
+  if (check::ShouldCheck(opts_.check_level, check::CheckLevel::kFull)) {
+    check::DcheckOk(check::ValidateGraph(g), "Emigre(graph)");
+  }
 }
 
-template <typename G>
-Status EmigreT<G>::ValidateQuestion(const WhyNotQuestion& q,
-                                    graph::NodeId rec) const {
-  if (!g_->IsValidNode(q.user)) {
+Emigre::Emigre(const graph::CsrSnapshotView& view, EmigreOptions opts)
+    : Emigre(view.csr(), std::move(opts)) {
+  if (check::ShouldCheck(opts_.check_level, check::CheckLevel::kFull)) {
+    check::DcheckOk(check::ValidateGraphView(view), "Emigre(view)");
+  }
+}
+
+recsys::RecommendationList Emigre::CurrentRanking(graph::NodeId user) const {
+  return recsys::RankItems(csr_, user, opts_.rec);
+}
+
+Status Emigre::ValidateQuestion(const WhyNotQuestion& q,
+                                graph::NodeId rec) const {
+  if (!csr_.IsValidNode(q.user)) {
     return Status::InvalidArgument(StrFormat("invalid user %u", q.user));
   }
-  if (!g_->IsValidNode(q.why_not_item)) {
+  if (!csr_.IsValidNode(q.why_not_item)) {
     return Status::InvalidArgument(
         StrFormat("invalid Why-Not item %u", q.why_not_item));
   }
-  if (g_->NodeType(q.why_not_item) != opts_.rec.item_type) {
+  if (csr_.NodeType(q.why_not_item) != opts_.rec.item_type) {
     return Status::InvalidArgument(StrFormat(
         "Why-Not item %u is not an item node", q.why_not_item));
   }
-  if (g_->HasEdge(q.user, q.why_not_item)) {
+  if (csr_.HasEdge(q.user, q.why_not_item)) {
     return Status::InvalidArgument(StrFormat(
         "user %u already interacted with item %u (Definition 4.1 requires "
         "(u, WNI) ∉ E)",
@@ -81,9 +99,8 @@ std::vector<std::pair<std::string, uint64_t>> FaultDelta(
 
 }  // namespace
 
-template <typename G>
-Result<Explanation> EmigreT<G>::Explain(const WhyNotQuestion& q, Mode mode,
-                                        Heuristic heuristic) const {
+Result<Explanation> Emigre::Explain(const WhyNotQuestion& q, Mode mode,
+                                    Heuristic heuristic) const {
   // One id per attempt, also inherited by this query's worker threads, so
   // timeline events and the audit record join back to this result.
   const uint64_t query_id = obs::BeginQuery();
@@ -167,33 +184,25 @@ Result<Explanation> EmigreT<G>::Explain(const WhyNotQuestion& q, Mode mode,
   return outcome;
 }
 
-template <typename G>
-Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
-                                            Heuristic heuristic,
-                                            obs::QueryRecord* record) const {
+Result<Explanation> Emigre::ExplainImpl(const WhyNotQuestion& q, Mode mode,
+                                        Heuristic heuristic,
+                                        obs::QueryRecord* record) const {
   EMIGRE_SPAN("explain");
   if (check::ShouldCheck(opts_.check_level, check::CheckLevel::kFull)) {
-    // The HinGraph validator also cross-checks the type registries; other
-    // views (the snapshot) get the structural GraphLike validation.
-    if constexpr (std::is_same_v<G, graph::HinGraph>) {
-      check::DcheckOk(check::ValidateGraph(*g_), "Emigre::Explain(graph)");
-    } else {
-      check::DcheckOk(check::ValidateGraphView(*g_), "Emigre::Explain(graph)");
-    }
+    check::DcheckOk(check::ValidateGraphView(csr_), "Emigre::Explain(graph)");
   }
   // Node-id bounds come first: the ranking indexes adjacency by q.user,
   // so an invalid id must be rejected before ranking (caught by ASan).
-  if (!g_->IsValidNode(q.user)) {
+  if (!csr_.IsValidNode(q.user)) {
     return Status::InvalidArgument(StrFormat("invalid user %u", q.user));
   }
-  if (!g_->IsValidNode(q.why_not_item)) {
+  if (!csr_.IsValidNode(q.why_not_item)) {
     return Status::InvalidArgument(
         StrFormat("invalid Why-Not item %u", q.why_not_item));
   }
   WallTimer phase_timer;
   // Only the Exhaustive heuristics need the full ranking (their targets);
-  // the rest need `rec` alone, the certified top-1 over the engine's CSR
-  // snapshot (same edges in the same order as *g_, so the same sweeps).
+  // the rest need `rec` alone, the certified top-1.
   const bool needs_ranking = heuristic == Heuristic::kExhaustive ||
                              heuristic == Heuristic::kExhaustiveDirect;
   recsys::RecommendationList ranking;
@@ -214,9 +223,9 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
   EMIGRE_ASSIGN_OR_RETURN(
       SearchSpace space,
       mode == Mode::kRemove
-          ? BuildRemoveSearchSpace(*g_, q.user, rec, q.why_not_item, opts_,
+          ? BuildRemoveSearchSpace(csr_, q.user, rec, q.why_not_item, opts_,
                                    ppr_cache_.get())
-          : BuildAddSearchSpace(*g_, q.user, rec, q.why_not_item, opts_,
+          : BuildAddSearchSpace(csr_, q.user, rec, q.why_not_item, opts_,
                                 ppr_cache_.get()));
   if (record != nullptr) {
     record->phase_seconds.emplace_back("search_space",
@@ -238,11 +247,11 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
   // private overlay/dynamic-push state built by this closure.
   auto make_tester = [this, &q, &eopts]() -> std::unique_ptr<TesterInterface> {
     if (opts_.tester == TesterKind::kDynamicPush) {
-      return std::make_unique<FastExplanationTesterT<G>>(
-          *g_, q.user, q.why_not_item, eopts, &csr_);
+      return std::make_unique<FastExplanationTester>(
+          csr_, q.user, q.why_not_item, eopts, &csr_);
     }
-    return std::make_unique<ExplanationTesterT<G>>(*g_, q.user, q.why_not_item,
-                                                   eopts, &csr_);
+    return std::make_unique<ExplanationTester>(csr_, q.user, q.why_not_item,
+                                               eopts, &csr_);
   };
   std::unique_ptr<TesterInterface> tester;
   if (opts_.test_threads != 1) {
@@ -270,7 +279,7 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
       for (size_t i = 0; i < ranking.size() && targets.size() < k; ++i) {
         targets.push_back(ranking.at(i).item);
       }
-      result = RunExhaustive(*g_, space, targets, *tester, opts_,
+      result = RunExhaustive(csr_, space, targets, *tester, opts_,
                              heuristic == Heuristic::kExhaustiveDirect,
                              ppr_cache_.get());
       break;
@@ -290,21 +299,20 @@ Result<Explanation> EmigreT<G>::ExplainImpl(const WhyNotQuestion& q, Mode mode,
   // harness measures that, so they are not validated here.
   if (result.found && result.verified &&
       check::ShouldCheck(opts_.check_level, check::CheckLevel::kBasic)) {
-    check::DcheckOk(check::ValidateExplanation(*g_, q, result, opts_),
+    check::DcheckOk(check::ValidateExplanation(csr_, q, result, opts_),
                     "Emigre::Explain(explanation)");
   }
   return result;
 }
 
-template <typename G>
-Result<Explanation> EmigreT<G>::ExplainAuto(const WhyNotQuestion& q,
-                                            Heuristic heuristic) const {
+Result<Explanation> Emigre::ExplainAuto(const WhyNotQuestion& q,
+                                        Heuristic heuristic) const {
   // §5.4: Remove mode reasons over the user's own history — meaningful when
   // that history exists. Otherwise, and whenever Remove fails (the paper's
   // popular-item cases), fall back to Add mode's wider search space.
   size_t allowed_actions = 0;
-  if (g_->IsValidNode(q.user)) {
-    g_->ForEachOutEdge(
+  if (csr_.IsValidNode(q.user)) {
+    csr_.ForEachOutEdge(
         q.user, [&](graph::NodeId dst, graph::EdgeTypeId type, double) {
           if (dst != q.user && opts_.IsAllowedEdgeType(type)) {
             ++allowed_actions;
@@ -328,10 +336,5 @@ Result<Explanation> EmigreT<G>::ExplainAuto(const WhyNotQuestion& q,
   }
   return Explain(q, Mode::kAdd, heuristic);
 }
-
-// Explicit instantiations: the classic in-memory graph and the mmap-backed
-// snapshot view.
-template class EmigreT<graph::HinGraph>;
-template class EmigreT<graph::CsrSnapshotView>;
 
 }  // namespace emigre::explain

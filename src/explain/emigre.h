@@ -2,7 +2,6 @@
 #define EMIGRE_EXPLAIN_EMIGRE_H_
 
 #include <memory>
-#include <utility>
 
 #include "explain/explanation.h"
 #include "explain/options.h"
@@ -11,6 +10,10 @@
 #include "ppr/cache.h"
 #include "recsys/rec_list.h"
 #include "util/result.h"
+
+namespace emigre::graph {
+class CsrSnapshotView;
+}  // namespace emigre::graph
 
 namespace emigre::explain {
 
@@ -22,14 +25,17 @@ namespace emigre::explain {
 /// (Algorithms 3/4/5 or a baseline) → return the explanation with
 /// diagnostics.
 ///
-/// Generic over the base graph `G`: the classic in-memory `HinGraph` (the
-/// `Emigre` alias) or an mmap-backed `graph::CsrSnapshotView`, which serves
-/// the same pipeline straight off a snapshot file without materializing a
-/// mutable graph. Explicitly instantiated for both in emigre.cc.
+/// The engine's only graph is its own `CsrGraph`: a snapshot of an
+/// in-memory `HinGraph`, or an alias of an mmap-backed
+/// `graph::CsrSnapshotView`'s columns. Every read of the pipeline — the
+/// ranking, question validation, both search spaces, the TESTs and the
+/// reverse-push cache — goes to it. The snapshot copies each node's out-
+/// and in-edges in the source's order, so every sweep and push does the
+/// same arithmetic as over the source. The engine keeps no reference to the
+/// source: it may be mutated or destroyed once the constructor returns.
 ///
-/// Thread-safety: the engine is immutable after construction and holds only
-/// a reference to the graph; concurrent `Explain` calls are safe as long as
-/// the graph is not mutated.
+/// Thread-safety: the engine is immutable after construction; concurrent
+/// `Explain` calls are safe.
 ///
 /// ```
 /// explain::EmigreOptions opts;
@@ -40,18 +46,16 @@ namespace emigre::explain {
 /// auto result = engine.Explain({user, missing_item}, explain::Mode::kAdd,
 ///                              explain::Heuristic::kIncremental);
 /// ```
-template <typename G>
-class EmigreT {
+class Emigre {
  public:
-  /// `g` must outlive the engine — and must not be mutated while the
-  /// engine exists (the engine caches PPR vectors computed on it and keeps
-  /// a CSR snapshot of it).
-  EmigreT(const G& g, EmigreOptions opts)
-      : g_(&g),
-        opts_(std::move(opts)),
-        csr_(MakeCsr(g)),
-        ppr_cache_(std::make_unique<ppr::ReversePushCache<graph::CsrGraph>>(
-            csr_, opts_.rec.ppr)) {}
+  /// Snapshots `g` once. At `CheckLevel::kFull` the source is validated
+  /// here, type registries included.
+  Emigre(const graph::HinGraph& g, EmigreOptions opts);
+
+  /// Aliases the view's mapped columns (no copy); the mapping stays pinned
+  /// for the engine's lifetime. At `CheckLevel::kFull` the view is
+  /// validated here.
+  Emigre(const graph::CsrSnapshotView& view, EmigreOptions opts);
 
   /// Computes a Why-Not explanation for `q` using the given mode and
   /// heuristic. Fails with InvalidArgument when `q` violates Definition 4.1
@@ -79,7 +83,6 @@ class EmigreT {
   recsys::RecommendationList CurrentRanking(graph::NodeId user) const;
 
   const EmigreOptions& options() const { return opts_; }
-  const G& graph() const { return *g_; }
 
   /// Checks Definition 4.1 for (user, wni): wni is an item node, has no
   /// edge from the user, and differs from the current recommendation `rec`.
@@ -91,20 +94,11 @@ class EmigreT {
     return *ppr_cache_;
   }
 
-  /// The engine's CSR snapshot of the graph (shared with the testers).
+  /// The engine's graph (shared with the testers).
   const graph::CsrGraph& csr() const { return csr_; }
 
  private:
-  /// The engine's CSR form of `g`: an mmap-backed view already carries one
-  /// (`g.csr()` — sharing it aliases the mapping, no copy of the columns);
-  /// any other GraphLike is snapshotted once here.
-  static graph::CsrGraph MakeCsr(const G& g) {
-    if constexpr (requires { g.csr(); }) {
-      return g.csr();
-    } else {
-      return graph::CsrGraph(g, 0);
-    }
-  }
+  Emigre(graph::CsrGraph csr, EmigreOptions opts);
 
   /// The pipeline body; may throw (deadline unwinds, worker-task errors).
   /// `Explain` wraps it in the exception boundary. `record`, when non-null,
@@ -113,20 +107,16 @@ class EmigreT {
                                                 Mode mode, Heuristic heuristic,
                                                 obs::QueryRecord* record) const;
 
-  const G* g_;
   EmigreOptions opts_;
-  // CSR snapshot of *g_, built (or aliased) once per engine: the PPR cache
-  // pushes over it and every kernel-engine tester lays its CsrOverlay on
-  // it, so no Explain call pays the O(V+E) snapshot cost.
+  // The engine's graph, built (or aliased) once: the PPR cache pushes over
+  // it and every tester lays its CsrOverlay on it, so no Explain call pays
+  // the O(V+E) snapshot cost.
   graph::CsrGraph csr_;
   // Reverse-push vectors are pure functions of (graph, target); shared
   // across questions and across the per-question phases. The cache is
   // internally synchronized, keeping concurrent Explain calls safe.
   std::unique_ptr<ppr::ReversePushCache<graph::CsrGraph>> ppr_cache_;
 };
-
-/// The classic facade over the in-memory graph.
-using Emigre = EmigreT<graph::HinGraph>;
 
 }  // namespace emigre::explain
 

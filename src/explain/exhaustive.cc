@@ -6,7 +6,6 @@
 
 #include "check/invariants.h"
 #include "explain/internal.h"
-#include "graph/csr_snapshot.h"
 #include "obs/trace.h"
 #include "ppr/reverse_push.h"
 
@@ -238,15 +237,14 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
   return recorder.Finish();
 }
 
-// Explicit instantiations: the classic in-memory graph and the mmap-backed
-// snapshot view.
+// Explicit instantiations: the engine's CSR graph and the in-memory graph.
+template Explanation RunExhaustive<graph::CsrGraph>(
+    const graph::CsrGraph&, const SearchSpace&, const std::vector<NodeId>&,
+    TesterInterface&, const EmigreOptions&, bool,
+    ppr::ReversePushCache<graph::CsrGraph>*);
 template Explanation RunExhaustive<graph::HinGraph>(
     const graph::HinGraph&, const SearchSpace&, const std::vector<NodeId>&,
     TesterInterface&, const EmigreOptions&, bool,
-    ppr::ReversePushCache<graph::CsrGraph>*);
-template Explanation RunExhaustive<graph::CsrSnapshotView>(
-    const graph::CsrSnapshotView&, const SearchSpace&,
-    const std::vector<NodeId>&, TesterInterface&, const EmigreOptions&, bool,
     ppr::ReversePushCache<graph::CsrGraph>*);
 
 }  // namespace emigre::explain

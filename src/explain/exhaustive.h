@@ -33,8 +33,8 @@ namespace emigre::explain {
 /// a candidate that hurts WNI vs. rec can still help against another target
 /// (paper §5.2.2).
 ///
-/// Generic over the base graph `G` (`HinGraph` or an mmap-backed
-/// `CsrSnapshotView`); explicitly instantiated in exhaustive.cc.
+/// Generic over the base graph `G` (the engine's `CsrGraph` or a
+/// `HinGraph`); explicitly instantiated in exhaustive.cc.
 template <typename G>
 Explanation RunExhaustive(
     const G& g, const SearchSpace& space,

@@ -7,7 +7,6 @@
 #include "explain/tester.h"
 #include "graph/csr.h"
 #include "graph/csr_overlay.h"
-#include "graph/hin_graph.h"
 #include "ppr/dynamic.h"
 #include "ppr/workspace.h"
 
@@ -62,8 +61,8 @@ graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
 /// candidate's edits are rooted at the user, so each TEST costs two
 /// single-row repairs instead of a full recomputation.
 ///
-/// The counterfactual graph view is a `CsrOverlay` over a CSR snapshot
-/// (shared from the facade or built once here); the dynamic push repairs
+/// The counterfactual graph view is a `CsrOverlay` over a CSR graph
+/// (shared from the facade or snapshotted once here); the dynamic push repairs
 /// through a reusable `PushWorkspace` (O(row + pushes) per TEST), and the
 /// eligible-item filter uses the workspace's epoch marks. `Clear()`-based
 /// reverts keep the adjacency iteration order fixed across candidates.
@@ -78,28 +77,28 @@ graph::NodeId BestItem(const std::vector<graph::NodeId>& items,
 /// ascending) with sub-noise scores floored to zero, so EXACT ties resolve
 /// to the lowest item id — the ordering never depends on touch order or
 /// adjacency order (see explain_fast_tester_test.cc).
-template <typename G>
-class FastExplanationTesterT : public TesterInterface {
+class FastExplanationTester : public TesterInterface {
  public:
-  /// Snapshots `base` to CSR (or reuses `csr` when the caller already
-  /// holds a snapshot of the same graph) and runs the initial push through
-  /// the workspace.
-  FastExplanationTesterT(const G& base, graph::NodeId user,
-                         graph::NodeId why_not_item, const EmigreOptions& opts,
-                         const graph::CsrGraph* csr = nullptr)
-      : user_(user),
+  /// Runs on `csr` when given (it must outlive the tester), otherwise on a
+  /// snapshot of `base` taken here; `base` is not referenced afterwards.
+  /// Runs the initial push through the workspace.
+  template <typename G>
+  FastExplanationTester(const G& base, graph::NodeId user,
+                        graph::NodeId why_not_item, const EmigreOptions& opts,
+                        const graph::CsrGraph* csr = nullptr)
+      : overlay_(detail::TesterCsr(base, csr, &owned_csr_)),
+        user_(user),
         wni_(why_not_item),
-        opts_(opts),
-        items_(base.NodesOfType(opts.rec.item_type)) {
-    const graph::CsrGraph* snapshot = csr;
-    if (snapshot == nullptr) {
-      owned_csr_ = std::make_unique<graph::CsrGraph>(base, 0);
-      snapshot = owned_csr_.get();
+        opts_(opts) {
+    const graph::CsrGraph& g = overlay_.base();
+    for (graph::NodeId n = 0; n < g.NumNodes(); ++n) {
+      if (g.NodeType(n) == opts_.rec.item_type) items_.push_back(n);
     }
-    overlay_ = std::make_unique<graph::CsrOverlay>(*snapshot);
     dyn_ = std::make_unique<ppr::DynamicForwardPush<graph::CsrOverlay>>(
-        *overlay_, user, opts_.rec.ppr, &ws_);
+        overlay_, user, opts_.rec.ppr, &ws_);
   }
+  FastExplanationTester(const FastExplanationTester&) = delete;
+  FastExplanationTester& operator=(const FastExplanationTester&) = delete;
 
   bool Test(const std::vector<graph::EdgeRef>& edits, Mode mode,
             graph::NodeId* new_rec = nullptr) override {
@@ -154,10 +153,10 @@ class FastExplanationTesterT : public TesterInterface {
       }
       Status st;
       if (e.mode == Mode::kAdd) {
-        st = overlay_->AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                               opts_.add_edge_weight);
+        st = overlay_.AddEdge(e.edge.src, e.edge.dst, e.edge.type,
+                              opts_.add_edge_weight);
       } else {
-        st = overlay_->RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
+        st = overlay_.RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
       }
       if (!st.ok()) {
         ok = false;
@@ -172,7 +171,7 @@ class FastExplanationTesterT : public TesterInterface {
       // Revert, repairing the invariant again.
       dyn_->BeforeOutEdgeChange(user_);
     }
-    overlay_->Clear();
+    overlay_.Clear();
     dyn_->AfterOutEdgeChange(user_);
 
     if (new_rec != nullptr) *new_rec = ok ? top : graph::kInvalidNode;
@@ -186,9 +185,9 @@ class FastExplanationTesterT : public TesterInterface {
   void Rebuild() {
     // Dropping the overlay edits restores the base view; the fresh initial
     // push overwrites the half-repaired workspace state.
-    overlay_->Clear();
+    overlay_.Clear();
     dyn_ = std::make_unique<ppr::DynamicForwardPush<graph::CsrOverlay>>(
-        *overlay_, user_, opts_.rec.ppr, &ws_);
+        overlay_, user_, opts_.rec.ppr, &ws_);
     stale_ = false;
   }
 
@@ -198,7 +197,7 @@ class FastExplanationTesterT : public TesterInterface {
     // O(deg) epoch marks over the user's effective out-neighborhood replace
     // per-item HasEdge probes. The marks share the epoch of the repair that
     // just ran and stay valid until the next one.
-    overlay_->ForEachOutEdge(
+    overlay_.ForEachOutEdge(
         user_,
         [&](graph::NodeId dst, graph::EdgeTypeId, double) { ws_.Mark(dst); });
     const double floor = opts_.rec.ppr.epsilon * 100.0;
@@ -208,24 +207,22 @@ class FastExplanationTesterT : public TesterInterface {
         [&](graph::NodeId item) { return dyn_->Estimate(item); });
   }
 
+  // Declared before overlay_, which it may back.
+  std::unique_ptr<graph::CsrGraph> owned_csr_;
+  graph::CsrOverlay overlay_;
   graph::NodeId user_;
   graph::NodeId wni_;
   EmigreOptions opts_;
-  std::vector<graph::NodeId> items_;  ///< all item-typed nodes
+  std::vector<graph::NodeId> items_;  ///< all item-typed nodes, ascending
   size_t num_tests_ = 0;
   /// A deadline unwound a TEST mid-repair: the dynamic-push state no
   /// longer satisfies the invariant and must be rebuilt before the next
   /// TEST.
   bool stale_ = false;
 
-  std::unique_ptr<graph::CsrGraph> owned_csr_;
-  std::unique_ptr<graph::CsrOverlay> overlay_;
   ppr::PushWorkspace ws_;
   std::unique_ptr<ppr::DynamicForwardPush<graph::CsrOverlay>> dyn_;
 };
-
-/// The classic approximate tester over the in-memory graph.
-using FastExplanationTester = FastExplanationTesterT<graph::HinGraph>;
 
 }  // namespace emigre::explain
 

@@ -13,8 +13,7 @@ Result<GroupExplanation> ExplainGroup(const Emigre& engine,
   if (q.items.empty()) {
     return Status::InvalidArgument("group Why-Not question with no items");
   }
-  const graph::HinGraph& g = engine.graph();
-  if (!g.IsValidNode(q.user)) {
+  if (!engine.csr().IsValidNode(q.user)) {
     return Status::InvalidArgument(StrFormat("invalid user %u", q.user));
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/csr_snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ppr/reverse_push.h"
@@ -151,19 +150,18 @@ Result<SearchSpace> BuildAddSearchSpace(
   return space;
 }
 
-// Explicit instantiations: the classic in-memory graph and the mmap-backed
-// snapshot view.
+// Explicit instantiations: the engine's CSR graph and the in-memory graph.
+template Result<SearchSpace> BuildRemoveSearchSpace<graph::CsrGraph>(
+    const graph::CsrGraph&, NodeId, NodeId, NodeId, const EmigreOptions&,
+    ppr::ReversePushCache<graph::CsrGraph>*);
+template Result<SearchSpace> BuildAddSearchSpace<graph::CsrGraph>(
+    const graph::CsrGraph&, NodeId, NodeId, NodeId, const EmigreOptions&,
+    ppr::ReversePushCache<graph::CsrGraph>*);
 template Result<SearchSpace> BuildRemoveSearchSpace<graph::HinGraph>(
     const graph::HinGraph&, NodeId, NodeId, NodeId, const EmigreOptions&,
     ppr::ReversePushCache<graph::CsrGraph>*);
 template Result<SearchSpace> BuildAddSearchSpace<graph::HinGraph>(
     const graph::HinGraph&, NodeId, NodeId, NodeId, const EmigreOptions&,
     ppr::ReversePushCache<graph::CsrGraph>*);
-template Result<SearchSpace> BuildRemoveSearchSpace<graph::CsrSnapshotView>(
-    const graph::CsrSnapshotView&, NodeId, NodeId, NodeId,
-    const EmigreOptions&, ppr::ReversePushCache<graph::CsrGraph>*);
-template Result<SearchSpace> BuildAddSearchSpace<graph::CsrSnapshotView>(
-    const graph::CsrSnapshotView&, NodeId, NodeId, NodeId,
-    const EmigreOptions&, ppr::ReversePushCache<graph::CsrGraph>*);
 
 }  // namespace emigre::explain

@@ -54,8 +54,8 @@ struct SearchSpace {
 /// (Eq. 5) and returns them sorted by descending contribution, together
 /// with τ = Σ contributions.
 ///
-/// Generic over the base graph `G` (`HinGraph` or an mmap-backed
-/// `CsrSnapshotView`); explicitly instantiated in search_space.cc.
+/// Generic over the base graph `G` (the engine's `CsrGraph` or a
+/// `HinGraph`); explicitly instantiated in search_space.cc.
 template <typename G>
 [[nodiscard]] Result<SearchSpace> BuildRemoveSearchSpace(
     const G& g, graph::NodeId user, graph::NodeId rec, graph::NodeId wni,

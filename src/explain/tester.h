@@ -11,7 +11,6 @@
 #include "explain/options.h"
 #include "graph/csr.h"
 #include "graph/csr_overlay.h"
-#include "graph/hin_graph.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -110,31 +109,46 @@ class TesterInterface {
       const BudgetFn& budget = nullptr);
 };
 
+namespace detail {
+
+/// The CSR graph a tester runs on: `csr` when the caller shares one (the
+/// `Emigre` facade passes its own), otherwise a snapshot of `base` stored
+/// in `*owned`.
+template <typename G>
+const graph::CsrGraph& TesterCsr(const G& base, const graph::CsrGraph* csr,
+                                 std::unique_ptr<graph::CsrGraph>* owned) {
+  if (csr != nullptr) return *csr;
+  *owned = std::make_unique<graph::CsrGraph>(base, 0);
+  return **owned;
+}
+
+}  // namespace detail
+
 /// \brief The exact TEST: re-runs the full recommender on an overlay.
 ///
 /// This is the expensive but indispensable step whose necessity the paper
 /// demonstrates with the Exhaustive-direct baseline (§6.3: a 33% success-
 /// rate drop without it).
 ///
-/// Generic over the base graph `G`: the classic `HinGraph` (the
-/// `ExplanationTester` alias) or an mmap-backed `CsrSnapshotView` — the
-/// TEST only touches the shared CSR columns either way. The independent
-/// dense replay (`BasicGraphOverlay` plus the allocating
+/// The counterfactual recommendations run over a `CsrOverlay` on a CSR
+/// graph, with the PPR scratch state held in a reusable `PushWorkspace`.
+/// The independent dense replay (`BasicGraphOverlay` plus the allocating
 /// `recsys::Recommend`, as in `check::ValidateExplanation`) is the oracle
 /// the tests hold this tester to.
-template <typename G>
-class ExplanationTesterT : public TesterInterface {
+class ExplanationTester : public TesterInterface {
  public:
-  /// The tester keeps references; `base` (and `csr`, when given) must
-  /// outlive it. The counterfactual recommendations run over a `CsrOverlay`
-  /// on a CSR snapshot — passed-in `csr` when available (the `Emigre`
-  /// facade shares its own), otherwise built lazily on first TEST — with
-  /// the PPR scratch state held in a reusable `PushWorkspace`.
-  ExplanationTesterT(const G& base, graph::NodeId user,
-                     graph::NodeId why_not_item, const EmigreOptions& opts,
-                     const graph::CsrGraph* csr = nullptr)
-      : base_(&base), csr_(csr), user_(user), wni_(why_not_item),
+  /// Runs on `csr` when given (it must outlive the tester), otherwise on a
+  /// snapshot of `base` taken here; `base` is not referenced afterwards.
+  template <typename G>
+  ExplanationTester(const G& base, graph::NodeId user,
+                    graph::NodeId why_not_item, const EmigreOptions& opts,
+                    const graph::CsrGraph* csr = nullptr)
+      : overlay_(detail::TesterCsr(base, csr, &owned_csr_)),
+        user_(user),
+        wni_(why_not_item),
         opts_(opts) {}
+  ExplanationTester(const ExplanationTester&) = delete;
+  ExplanationTester& operator=(const ExplanationTester&) = delete;
 
   bool Test(const std::vector<graph::EdgeRef>& edits, Mode mode,
             graph::NodeId* new_rec = nullptr) override {
@@ -160,35 +174,18 @@ class ExplanationTesterT : public TesterInterface {
   /// re-runs the recommender.
   bool RunOnce(const std::vector<ModedEdit>& edits, graph::NodeId* new_rec);
 
-  /// Builds the CSR snapshot + overlay on first TEST.
-  void EnsureOverlay() {
-    if (overlay_ != nullptr) return;
-    if (csr_ == nullptr) {
-      owned_csr_ = std::make_unique<graph::CsrGraph>(*base_, 0);
-      csr_ = owned_csr_.get();
-    }
-    overlay_ = std::make_unique<graph::CsrOverlay>(*csr_);
-  }
-
-  const G* base_;
-  const graph::CsrGraph* csr_;
+  // Declared before overlay_, which it may back.
+  std::unique_ptr<graph::CsrGraph> owned_csr_;
+  graph::CsrOverlay overlay_;
   graph::NodeId user_;
   graph::NodeId wni_;
   EmigreOptions opts_;
   size_t num_tests_ = 0;
-
-  // Counterfactual state, built on first TEST.
-  std::unique_ptr<graph::CsrGraph> owned_csr_;
-  std::unique_ptr<graph::CsrOverlay> overlay_;
   ppr::PushWorkspace ws_;
 };
 
-/// The classic exact tester over the in-memory graph.
-using ExplanationTester = ExplanationTesterT<graph::HinGraph>;
-
-template <typename G>
-bool ExplanationTesterT<G>::RunOnce(const std::vector<ModedEdit>& edits,
-                                    graph::NodeId* new_rec) {
+inline bool ExplanationTester::RunOnce(const std::vector<ModedEdit>& edits,
+                                       graph::NodeId* new_rec) {
   EMIGRE_SPAN("test.exact");
   EMIGRE_COUNTER("explain.tests.exact").Increment();
   ++num_tests_;
@@ -196,15 +193,14 @@ bool ExplanationTesterT<G>::RunOnce(const std::vector<ModedEdit>& edits,
     // The counterfactual is a CsrOverlay over the shared CSR snapshot,
     // cleared rather than reconstructed per TEST, with the PPR scratch state
     // in the reusable workspace.
-    EnsureOverlay();
-    overlay_->Clear();
+    overlay_.Clear();
     for (const ModedEdit& e : edits) {
       Status st;
       if (e.mode == Mode::kAdd) {
-        st = overlay_->AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                               opts_.add_edge_weight);
+        st = overlay_.AddEdge(e.edge.src, e.edge.dst, e.edge.type,
+                              opts_.add_edge_weight);
       } else {
-        st = overlay_->RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
+        st = overlay_.RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
       }
       if (!st.ok()) {
         // A malformed candidate (duplicate add, missing removal target)
@@ -213,7 +209,7 @@ bool ExplanationTesterT<G>::RunOnce(const std::vector<ModedEdit>& edits,
         return false;
       }
     }
-    graph::NodeId top = recsys::Recommend(*overlay_, user_, opts_.rec, &ws_);
+    graph::NodeId top = recsys::Recommend(overlay_, user_, opts_.rec, &ws_);
     if (new_rec != nullptr) *new_rec = top;
     return top == wni_;
   } catch (const DeadlineExceededError&) {

@@ -216,18 +216,6 @@ class CsrSnapshotView {
   size_t NumNodeTypes() const { return node_types_.size(); }
   size_t NumEdgeTypes() const { return edge_types_.size(); }
 
-  /// All nodes of `type`, ascending (mirrors `HinGraph::NodesOfType`).
-  std::vector<NodeId> NodesOfType(NodeTypeId type) const {
-    std::vector<NodeId> out;
-    const uint64_t n = csr_.NumNodes();
-    for (uint64_t i = 0; i < n; ++i) {
-      if (csr_.NodeType(static_cast<NodeId>(i)) == type) {
-        out.push_back(static_cast<NodeId>(i));
-      }
-    }
-    return out;
-  }
-
   bool has_labels() const { return label_offsets_ != nullptr; }
   /// View into the mapped label pool; empty when the snapshot carries no
   /// labels. Valid while the mapping lives.

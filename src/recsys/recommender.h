@@ -9,8 +9,6 @@
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "ppr/forward_push.h"
-#include "ppr/kernels.h"
 #include "ppr/options.h"
 #include "ppr/power_iteration.h"
 #include "ppr/workspace.h"
@@ -18,21 +16,12 @@
 
 namespace emigre::recsys {
 
-/// \brief How candidate items are scored.
-enum class Scorer {
-  /// Exact PPR by power iteration — the reference, used everywhere
-  /// correctness matters. The allocating `RankItems`/`Recommend` solve to
-  /// `power_tolerance`; the workspace `Recommend` (the exact TEST, the
-  /// explain pipeline's own `rec`) stops as soon as the top-1 is certified
-  /// and returns the same item.
-  kPowerIteration,
-  /// Forward Local Push estimates — cheaper on large graphs, but a lower
-  /// bound of the true PPR whose error can reorder near-tied items. Offered
-  /// for throughput-sensitive serving paths and as an ablation.
-  kForwardPush,
-};
-
 /// \brief Parameters of the PPR recommender (paper Eq. 2).
+///
+/// Items are scored by exact PPR (power iteration). The allocating
+/// `RankItems`/`Recommend` solve to `power_tolerance`; the workspace
+/// `Recommend` (the exact TEST, the explain pipeline's own `rec`) stops as
+/// soon as the top-1 is certified and returns the same item.
 struct RecommenderOptions {
   /// PPR parameters (α, tolerances).
   ppr::PprOptions ppr;
@@ -41,9 +30,6 @@ struct RecommenderOptions {
   /// type except those the user already points an edge to (the paper's
   /// `I \ N_out(u)`), and except the user itself.
   graph::NodeTypeId item_type = graph::kInvalidNodeType;
-
-  /// Scoring engine (see Scorer).
-  Scorer scorer = Scorer::kPowerIteration;
 };
 
 /// \brief True if `user` has any out-edge to `node` in the view `g`.
@@ -80,10 +66,7 @@ RecommendationList RankItems(const G& g, graph::NodeId user,
                              const RecommenderOptions& opts) {
   EMIGRE_SPAN("rank");
   EMIGRE_COUNTER("recsys.rank.calls").Increment();
-  std::vector<double> scores =
-      opts.scorer == Scorer::kForwardPush
-          ? ppr::ForwardPush(g, user, opts.ppr).estimate
-          : ppr::PowerIterationPpr(g, user, opts.ppr);
+  std::vector<double> scores = ppr::PowerIterationPpr(g, user, opts.ppr);
 
   // Collect the user's current out-neighborhood once (O(deg)) instead of
   // probing per item.
@@ -150,9 +133,6 @@ LeadingPair FindLeadingPair(const std::vector<graph::NodeId>& candidates,
 /// overload, with the PPR scratch state in the reusable `PushWorkspace`.
 /// Passing nullptr falls back to the allocating overload.
 ///
-/// Forward push leaves its estimates sparse in the workspace (untouched ⇒
-/// 0.0, exactly as the reference dense vector starts at 0.0).
-///
 /// Power iteration computes a *certified* top-1. A sweep is an L1
 /// contraction with factor (1−α), so after a sweep with L1 change δ the
 /// current iterate is within E = (1−α)/α · δ of the exact PPR in L1, and
@@ -191,12 +171,6 @@ graph::NodeId Recommend(const G& g, graph::NodeId user,
     return candidates.empty() ? graph::kInvalidNode : candidates[0];
   }
 
-  if (opts.scorer == Scorer::kForwardPush) {
-    ppr::ForwardPushKernel(g, user, opts.ppr, *ws);
-    return detail::FindLeadingPair(candidates, [ws](graph::NodeId v) {
-             return ws->Estimate(v);
-           }).leader;
-  }
   const double alpha = opts.ppr.alpha;
   const double bound_per_delta = 2.0 * (1.0 - alpha) / alpha;
   std::vector<double>* scores = nullptr;

@@ -59,6 +59,28 @@ grep -q '"heuristic": "Incremental"' "$DIR/q.jsonl"
 LINES=$(wc -l < "$DIR/q.jsonl")
 test "$LINES" -ge 1 -a "$LINES" -le 2
 
+# A snapshot of the same graph serves the same answers: the engine ranks on
+# its own CSR either way, so recommend prints identical lists. explain off
+# the snapshot exits 0 or 3; a not-found answer carries the diagnosis.
+"$EMIGRE" convert --in "$DIR/g.graph" --to snapshot --out "$DIR/g.csr" \
+    > "$DIR/log" 2>&1
+"$EMIGRE" recommend --graph "$DIR/g.graph" --user "$USER_ID" --top 3 \
+    > "$DIR/rec-graph.txt" 2>&1
+"$EMIGRE" recommend --graph "$DIR/g.csr" --user "$USER_ID" --top 3 \
+    > "$DIR/rec-csr.txt" 2>&1
+test -n "$(sed -n '3p' "$DIR/rec-csr.txt")"
+cmp -s "$DIR/rec-graph.txt" "$DIR/rec-csr.txt"
+for MODE in auto add; do
+  set +e
+  "$EMIGRE" explain --graph "$DIR/g.csr" --user "$USER_ID" \
+      --item "$ITEM_ID" --mode "$MODE" --heuristic incremental \
+      > "$DIR/log" 2>&1
+  CODE=$?
+  set -e
+  test "$CODE" -eq 0 -o "$CODE" -eq 3
+  if test "$CODE" -eq 3; then grep -q "^diagnosis:" "$DIR/log"; fi
+done
+
 # perfgate exit codes: 0 in-band, 1 regression, 2 usage error.
 cat > "$DIR/base.json" <<'EOF'
 {"schema": "emigre.bench.v1", "bench": "smoke", "scale": 0,

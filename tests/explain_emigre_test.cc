@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "explain/tester.h"
 #include "recsys/recommender.h"
 #include "test_util.h"
@@ -112,6 +114,43 @@ TEST_F(EmigreFacadeTest, OriginalRecRecordedOnExplanations) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->original_rec, rec_);
   }
+}
+
+// The engine reads only its own CSR snapshot: the graph it was built from
+// may be mutated and destroyed without changing any of its answers.
+TEST(EmigreContractTest, AnswersSurviveMutatingAndDestroyingTheSource) {
+  test::ScenarioFixture f = test::MakeAddFriendlyCase();
+  std::unique_ptr<Emigre> engine;
+  recsys::RecommendationList ranking;
+  WhyNotQuestion q;
+  Explanation explained;
+  auto expect_unchanged = [&] {
+    EXPECT_EQ(engine->CurrentRanking(f.user).items(), ranking.items());
+    Result<Explanation> again = engine->Explain(q, Mode::kAdd,
+                                                Heuristic::kIncremental);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again->found, explained.found);
+    EXPECT_EQ(again->edges, explained.edges);
+    EXPECT_EQ(again->original_rec, explained.original_rec);
+    EXPECT_EQ(again->new_rec, explained.new_rec);
+    EXPECT_EQ(again->failure, explained.failure);
+  };
+  {
+    graph::HinGraph source = f.g;
+    engine = std::make_unique<Emigre>(source, f.opts);
+    ranking = engine->CurrentRanking(f.user);
+    q = WhyNotQuestion{f.user, f.wni};
+    Result<Explanation> r =
+        engine->Explain(q, Mode::kAdd, Heuristic::kIncremental);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_TRUE(r->found);
+    explained = *r;
+    // Rating the top item takes it out of the source's candidate set.
+    ASSERT_TRUE(
+        source.AddEdge(f.user, ranking.Top(), f.opts.add_edge_type, 1.0).ok());
+    expect_unchanged();
+  }
+  expect_unchanged();
 }
 
 TEST(ExplanationNamesTest, EnumsHaveStableNames) {

@@ -1,6 +1,6 @@
 // Tests for the future-work extensions: weight-based explanations (§7),
-// group/category-granularity Why-Not questions (§4), the overlay weight
-// override they build on, and the push-based scorer ablation.
+// group/category-granularity Why-Not questions (§4) and the overlay weight
+// override they build on.
 
 #include <gtest/gtest.h>
 
@@ -266,29 +266,6 @@ TEST(GroupExplanationTest, CategoryQuestionEndToEnd) {
     EXPECT_TRUE(checker.Test(r->explanation.edges, r->explanation.mode));
   } else {
     EXPECT_GT(r->attempts + r->skipped.size(), 0u);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Scorer ablation: forward push vs power iteration
-// ---------------------------------------------------------------------------
-
-TEST(ScorerTest, PushScorerAgreesOnClearWinners) {
-  Rng rng(55);
-  test::RandomHin rh = test::MakeRandomHin(rng, 6, 20, 3, 6);
-  recsys::RecommenderOptions exact;
-  exact.item_type = rh.item_type;
-  recsys::RecommenderOptions push = exact;
-  push.scorer = recsys::Scorer::kForwardPush;
-  push.ppr.epsilon = 1e-10;  // tight push: ranking must coincide
-
-  for (NodeId user : rh.users) {
-    recsys::RecommendationList a = recsys::RankItems(rh.g, user, exact);
-    recsys::RecommendationList b = recsys::RankItems(rh.g, user, push);
-    ASSERT_EQ(a.size(), b.size());
-    if (!a.empty()) {
-      EXPECT_EQ(a.Top(), b.Top()) << "user " << user;
-    }
   }
 }
 

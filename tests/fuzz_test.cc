@@ -5,17 +5,21 @@
 // overlays always mirror an equivalently mutated copy, PPR stays a
 // distribution, CSV round-trips arbitrary field content, graph I/O
 // round-trips randomly generated graphs, the exact TEST agrees with an
-// independent dense replay on every search-space candidate, and the
-// certified top-1 agrees with the fully converged ranking.
+// independent dense replay on every search-space candidate, the engine's
+// ranking on its own CSR graph is the source graph's, and the certified
+// top-1 agrees with the fully converged ranking.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <tuple>
 #include <utility>
 
+#include "explain/emigre.h"
 #include "explain/search_space.h"
 #include "explain/tester.h"
 #include "graph/csr.h"
@@ -234,9 +238,11 @@ TEST(GraphIoFuzzTest, RandomGraphsRoundTrip) {
 // a `BasicGraphOverlay` over the base graph plus the allocating
 // `recsys::Recommend`. Every candidate of every question's Remove and Add
 // search space — each action alone, plus the top three together — must get
-// the same verdict and the same counterfactual top-1 from both.
+// the same verdict and the same counterfactual top-1 from both. The tester
+// runs on `csr` when given, otherwise on its own snapshot of `g`.
 template <typename G>
-size_t ExpectTesterMatchesDenseReplay(const G& g, const test::RandomHin& rh,
+size_t ExpectTesterMatchesDenseReplay(const G& g, const graph::CsrGraph* csr,
+                                      const test::RandomHin& rh,
                                       const explain::EmigreOptions& opts) {
   using explain::Mode;
   size_t compared = 0;
@@ -246,7 +252,7 @@ size_t ExpectTesterMatchesDenseReplay(const G& g, const test::RandomHin& rh,
     NodeId rec = ranking.Top();
     for (size_t rank = 1; rank < 4 && rank < ranking.size(); ++rank) {
       NodeId wni = ranking.at(rank).item;
-      explain::ExplanationTesterT<G> tester(g, user, wni, opts);
+      explain::ExplanationTester tester(g, user, wni, opts, csr);
       for (Mode mode : {Mode::kRemove, Mode::kAdd}) {
         auto space =
             mode == Mode::kRemove
@@ -287,6 +293,27 @@ size_t ExpectTesterMatchesDenseReplay(const G& g, const test::RandomHin& rh,
   return compared;
 }
 
+// The engine ranks on its own CSR graph. For every user its ranking must be
+// the allocating `RankItems` over the source HinGraph, item for item and
+// with bitwise-equal scores: the snapshot keeps every adjacency order, so
+// power iteration does the same arithmetic.
+void ExpectEngineRankingMatchesSource(const explain::Emigre& engine,
+                                      const test::RandomHin& rh,
+                                      const explain::EmigreOptions& opts) {
+  for (NodeId user : rh.users) {
+    recsys::RecommendationList want = recsys::RankItems(rh.g, user, opts.rec);
+    recsys::RecommendationList got = engine.CurrentRanking(user);
+    ASSERT_EQ(got.size(), want.size()) << "user " << user;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.at(i).item, want.at(i).item)
+          << "user " << user << " rank " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.at(i).score),
+                std::bit_cast<uint64_t>(want.at(i).score))
+          << "user " << user << " rank " << i;
+    }
+  }
+}
+
 TEST(TesterOracleFuzzTest, ExactTestMatchesDenseReplayOnHeapAndMmap) {
   Rng rng(0x7E57);
   std::string dir = test::MakeTempDir("tester_oracle");
@@ -294,13 +321,19 @@ TEST(TesterOracleFuzzTest, ExactTestMatchesDenseReplayOnHeapAndMmap) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     test::RandomHin rh = test::MakeRandomHin(rng, 5, 16, 3, 4);
     explain::EmigreOptions opts = test::MakeRandomHinOptions(rh);
-    EXPECT_GT(ExpectTesterMatchesDenseReplay(rh.g, rh, opts), 0u);
+    EXPECT_GT(ExpectTesterMatchesDenseReplay(rh.g, nullptr, rh, opts), 0u);
 
     std::string path = dir + "/g" + std::to_string(trial) + ".csr";
     ASSERT_TRUE(graph::WriteGraphSnapshot(rh.g, path).ok());
     auto view = graph::CsrSnapshotView::Load(path);
     ASSERT_TRUE(view.ok()) << view.status();
-    EXPECT_GT(ExpectTesterMatchesDenseReplay(view.value(), rh, opts), 0u);
+    EXPECT_GT(ExpectTesterMatchesDenseReplay(view->csr(), &view->csr(), rh,
+                                             opts),
+              0u);
+
+    ExpectEngineRankingMatchesSource(explain::Emigre(rh.g, opts), rh, opts);
+    ExpectEngineRankingMatchesSource(explain::Emigre(view.value(), opts), rh,
+                                     opts);
   }
 }
 

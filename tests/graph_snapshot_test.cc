@@ -195,7 +195,7 @@ TEST(CsrSnapshotTest, ExplanationsAgreeOnMmapAndHeapBackings) {
                                     bg.alchemist};
   size_t found = 0;
   explain::Emigre heap_engine(bg.g, opts);
-  explain::EmigreT<CsrSnapshotView> mmap_engine(view.value(), opts);
+  explain::Emigre mmap_engine(view.value(), opts);
   for (NodeId user : {bg.paul, bg.alice, bg.bob}) {
     for (NodeId wni : wnis) {
       for (explain::Mode mode :

@@ -281,23 +281,6 @@ TEST(CertifiedTopTest, UserBeyondNumNodes) {
   }
 }
 
-TEST(CertifiedTopTest, ForwardPushScorerMatchesAllocatingRanking) {
-  // The workspace path scores forward push with the kernel; its top-1 is
-  // the allocating ranking's.
-  Rng rng(57);
-  test::RandomHin rh = test::MakeRandomHin(rng, 6, 20, 3, 6);
-  RecommenderOptions opts;
-  opts.item_type = rh.item_type;
-  opts.scorer = Scorer::kForwardPush;
-  opts.ppr.epsilon = 1e-6;
-  ppr::PushWorkspace ws;
-  for (NodeId user : rh.users) {
-    EXPECT_EQ(Recommend(rh.g, user, opts, &ws),
-              RankItems(rh.g, user, opts).Top())
-        << "user " << user;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // RecWalk
 // ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@
 #include "obs/query_log.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "ppr/cache.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -606,8 +607,8 @@ int RunStats(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Body of `emigre recommend`, generic over the graph backing (HIN file or
-/// mmap'd snapshot — the engines run on either unchanged).
+/// Body of `emigre recommend` over either graph backing (HIN file or mmap'd
+/// snapshot); `G` supplies the names, the engine ranks on its own CSR.
 template <typename G>
 int RecommendOn(const G& g, const FlagParser& parser) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
@@ -619,7 +620,7 @@ int RecommendOn(const G& g, const FlagParser& parser) {
   }
   ObsSession obs(parser);
   if (!obs.init_status().ok()) return Fail(obs.init_status());
-  explain::EmigreT<G> engine(g, opts);
+  explain::Emigre engine(g, opts);
   auto ranking = engine.CurrentRanking(static_cast<graph::NodeId>(user))
                      .TopN(static_cast<size_t>(
                          parser.GetInt("top").ValueOrDie()));
@@ -650,7 +651,8 @@ int RunRecommend(const std::vector<std::string>& args) {
   return RecommendOn(g.value(), parser);
 }
 
-/// Body of `emigre explain`, generic over the graph backing.
+/// Body of `emigre explain` over either graph backing; `G` supplies the
+/// names.
 template <typename G>
 int ExplainOn(const G& g, const FlagParser& parser) {
   Result<explain::EmigreOptions> optsr = QueryOptionsFor(g);
@@ -680,7 +682,7 @@ int ExplainOn(const G& g, const FlagParser& parser) {
   ObsSession obs(parser);
   if (!obs.init_status().ok()) return Fail(obs.init_status());
   opts.query_log = obs.query_log();
-  explain::EmigreT<G> engine(g, opts);
+  explain::Emigre engine(g, opts);
   explain::WhyNotQuestion q{user, item};
   std::string mode = parser.GetString("mode").ValueOrDie();
   Result<explain::Explanation> result =
@@ -695,12 +697,16 @@ int ExplainOn(const G& g, const FlagParser& parser) {
   if (!e.found) {
     std::printf("no explanation (%s)\n",
                 std::string(FailureReasonName(e.failure)).c_str());
-    // Meta-explanation for the failure (§6.4).
+    // Meta-explanation for the failure (§6.4), its search space rebuilt
+    // on the engine's CSR with the push kernels.
+    ppr::ReversePushCache<graph::CsrGraph> cache(engine.csr(), opts.rec.ppr);
     auto space = e.mode == explain::Mode::kRemove
                      ? explain::BuildRemoveSearchSpace(
-                           g, user, e.original_rec, item, opts)
+                           engine.csr(), user, e.original_rec, item, opts,
+                           &cache)
                      : explain::BuildAddSearchSpace(
-                           g, user, e.original_rec, item, opts);
+                           engine.csr(), user, e.original_rec, item, opts,
+                           &cache);
     if (space.ok()) {
       std::printf("diagnosis: %s\n",
                   explain::DiagnoseFailure(g, space.value(), e, opts)
