@@ -14,7 +14,6 @@
 #include "explain/combined.h"
 #include "explain/emigre.h"
 #include "explain/meta.h"
-#include "explain/search_space.h"
 #include "recsys/recommender.h"
 
 using namespace emigre;  // example code; the library itself never does this
@@ -80,12 +79,7 @@ int main() {
         continue;
       }
       // Failure: produce the §6.4 meta-explanation.
-      auto space =
-          mode == explain::Mode::kRemove
-              ? explain::BuildRemoveSearchSpace(g, user, e.original_rec,
-                                                wni, opts)
-              : explain::BuildAddSearchSpace(g, user, e.original_rec, wni,
-                                             opts);
+      auto space = engine.BuildSearchSpace(q, mode, e.original_rec);
       space.status().CheckOK();
       explain::MetaExplanation meta =
           explain::DiagnoseFailure(g, space.value(), e, opts);

@@ -11,94 +11,51 @@ namespace emigre::explain {
 Explanation RunBruteForce(const SearchSpace& space, TesterInterface& tester,
                           const EmigreOptions& opts) {
   EMIGRE_SPAN("brute_force");
-  internal::SearchBudget budget(opts);
-
-  Explanation out;
-  out.mode = space.mode;
-  out.heuristic = Heuristic::kBruteForce;
-  out.search_space_size = space.actions.size();
-  internal::QueryRecorder recorder(&out, tester);
-
-  if (space.actions.empty()) {
-    out.failure = FailureReason::kColdStart;
-    return recorder.Finish();
-  }
+  internal::SearchDriver search(space, Heuristic::kBruteForce, tester, opts);
+  if (space.actions.empty()) return search.Finish(FailureReason::kColdStart);
 
   // The universe in edge order (not contribution order): brute force is the
   // model-free oracle, so its enumeration must not depend on Eq. 5/6.
-  std::vector<graph::EdgeRef> universe;
-  universe.reserve(space.actions.size());
-  for (const CandidateAction& a : space.actions) universe.push_back(a.edge);
-  std::sort(universe.begin(), universe.end());
-
-  size_t max_size = universe.size();
-  if (opts.max_explanation_size > 0) {
-    max_size = std::min(max_size, opts.max_explanation_size);
-  }
+  std::vector<CandidateAction> universe = space.actions;
+  std::sort(universe.begin(), universe.end(),
+            [](const CandidateAction& a, const CandidateAction& b) {
+              return a.edge < b.edge;
+            });
 
   // Combinations are enumerated into fixed-size chunks and each chunk is
-  // verified as one batch: a ParallelTester fans the chunk across worker
-  // threads and accepts the lowest-index success, so the winning subset is
-  // the same one the serial enumeration finds. The chunk size trades
-  // cancellation waste (tests past an early success) against fan-out
-  // granularity; it is deliberately independent of the thread count so the
-  // candidate stream is identical at any parallelism level.
+  // verified as one batch. The chunk size trades cancellation waste (tests
+  // past an early success) against fan-out granularity; it is deliberately
+  // independent of the thread count so the candidate stream is identical at
+  // any parallelism level. Brute force passes no gap estimate: it has no
+  // contribution model to rank untested subsets by, so a budget stop is a
+  // bare kBudgetExceeded even in anytime mode.
   constexpr size_t kChunk = 128;
-  bool budget_hit = false;
-
-  // Verifies the pending chunk; returns false once the search is decided.
   std::vector<std::vector<graph::EdgeRef>> batch;
+  // Verifies the pending chunk; returns false once the search is decided.
   auto flush = [&]() {
     if (batch.empty()) return true;
-    TesterInterface::BatchResult verdict = tester.TestBatch(
-        batch, space.mode,
-        [&budget](size_t tests) { return budget.Exhausted(tests); });
-    if (verdict.Found()) {
-      out.candidates_considered += verdict.accepted + 1;
-      out.found = true;
-      out.verified = tester.IsExact();
-      out.edges = std::move(batch[verdict.accepted]);
-      out.new_rec = verdict.new_rec;
-      batch.clear();
-      return false;
-    }
-    if (verdict.BudgetHit()) {
-      // The serial loop checked the budget before counting the candidate.
-      out.candidates_considered += verdict.budget_index;
-      budget_hit = true;
-      batch.clear();
-      return false;
-    }
-    out.candidates_considered += batch.size();
+    bool decided = search.Verify(std::move(batch));
     batch.clear();
-    return true;
+    return !decided;
   };
 
-  for (size_t size = 1; size <= max_size && !out.found && !budget_hit;
-       ++size) {
+  const size_t max_size = internal::MaxExplanationSize(universe.size(), opts);
+  for (size_t size = 1; size <= max_size; ++size) {
     bool finished = internal::ForEachCombination(
         universe.size(), size, [&](const std::vector<size_t>& idx) {
-          std::vector<graph::EdgeRef> edges;
-          edges.reserve(size);
-          for (size_t i : idx) edges.push_back(universe[i]);
-          batch.push_back(std::move(edges));
+          batch.push_back(internal::EdgesOf(universe, idx));
           return batch.size() < kChunk || flush();
         });
-    if (finished && !flush()) continue;  // tail chunk decided the search
+    if (!finished || !flush()) break;
   }
 
-  if (out.found) {
-    out.failure = FailureReason::kNone;
-    if (check::ShouldCheck(opts.check_level, check::CheckLevel::kFull)) {
-      check::DcheckOk(check::ValidateExplanationInSpace(space, out, opts),
-                      "RunBruteForce");
-    }
-  } else if (budget_hit) {
-    out.failure = FailureReason::kBudgetExceeded;
-  } else {
-    out.failure = FailureReason::kSearchExhausted;
+  Explanation out = search.Finish(FailureReason::kSearchExhausted);
+  if (out.found &&
+      check::ShouldCheck(opts.check_level, check::CheckLevel::kFull)) {
+    check::DcheckOk(check::ValidateExplanationInSpace(space, out, opts),
+                    "RunBruteForce");
   }
-  return recorder.Finish();
+  return out;
 }
 
 }  // namespace emigre::explain

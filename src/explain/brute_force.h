@@ -21,6 +21,10 @@ namespace emigre::explain {
 /// Used by the evaluation harness both as the success-rate oracle
 /// ("a solution exists at all", Fig. 5) and the explanation-size lower
 /// bound (Fig. 6).
+///
+/// Brute force has no contribution model to rank untested subsets by, so
+/// it never degrades: with `EmigreOptions::anytime` a budget stop is still a
+/// bare `kBudgetExceeded`.
 Explanation RunBruteForce(const SearchSpace& space, TesterInterface& tester,
                           const EmigreOptions& opts);
 

@@ -16,7 +16,6 @@
 #include "explain/incremental.h"
 #include "explain/parallel_tester.h"
 #include "explain/powerset.h"
-#include "explain/search_space.h"
 #include "explain/tester.h"
 #include "graph/csr_snapshot.h"
 #include "obs/timeline.h"
@@ -79,6 +78,16 @@ Status Emigre::ValidateQuestion(const WhyNotQuestion& q,
         "item %u already is the top recommendation", q.why_not_item));
   }
   return Status::OK();
+}
+
+Result<SearchSpace> Emigre::BuildSearchSpace(const WhyNotQuestion& q,
+                                             Mode mode,
+                                             graph::NodeId rec) const {
+  return mode == Mode::kRemove
+             ? BuildRemoveSearchSpace(csr_, q.user, rec, q.why_not_item,
+                                      opts_, ppr_cache_.get())
+             : BuildAddSearchSpace(csr_, q.user, rec, q.why_not_item, opts_,
+                                   ppr_cache_.get());
 }
 
 namespace {
@@ -220,13 +229,7 @@ Result<Explanation> Emigre::ExplainImpl(const WhyNotQuestion& q, Mode mode,
   }
 
   phase_timer.Reset();
-  EMIGRE_ASSIGN_OR_RETURN(
-      SearchSpace space,
-      mode == Mode::kRemove
-          ? BuildRemoveSearchSpace(csr_, q.user, rec, q.why_not_item, opts_,
-                                   ppr_cache_.get())
-          : BuildAddSearchSpace(csr_, q.user, rec, q.why_not_item, opts_,
-                                ppr_cache_.get()));
+  EMIGRE_ASSIGN_OR_RETURN(SearchSpace space, BuildSearchSpace(q, mode, rec));
   if (record != nullptr) {
     record->phase_seconds.emplace_back("search_space",
                                        phase_timer.ElapsedSeconds());

@@ -5,6 +5,7 @@
 
 #include "explain/explanation.h"
 #include "explain/options.h"
+#include "explain/search_space.h"
 #include "graph/csr.h"
 #include "graph/hin_graph.h"
 #include "ppr/cache.h"
@@ -88,6 +89,14 @@ class Emigre {
   /// edge from the user, and differs from the current recommendation `rec`.
   [[nodiscard]]
   Status ValidateQuestion(const WhyNotQuestion& q, graph::NodeId rec) const;
+
+  /// The `mode` search space of `q` against the current recommendation
+  /// `rec` (Algorithm 1 or 2), built over the engine's graph through its
+  /// reverse-push cache — the space `Explain` searched, for diagnosing a
+  /// failed query (`DiagnoseFailure`).
+  [[nodiscard]] Result<SearchSpace> BuildSearchSpace(const WhyNotQuestion& q,
+                                                     Mode mode,
+                                                     graph::NodeId rec) const;
 
   /// Cache statistics (diagnostics; shared across Explain calls).
   const ppr::ReversePushCache<graph::CsrGraph>& ppr_cache() const {

@@ -25,14 +25,9 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
                           bool direct,
                           ppr::ReversePushCache<graph::CsrGraph>* cache) {
   EMIGRE_SPAN("exhaustive");
-  internal::SearchBudget budget(opts);
-
-  Explanation out;
-  out.mode = space.mode;
-  out.heuristic =
-      direct ? Heuristic::kExhaustiveDirect : Heuristic::kExhaustive;
-  out.search_space_size = space.actions.size();
-  internal::QueryRecorder recorder(&out, tester);
+  internal::SearchDriver search(
+      space, direct ? Heuristic::kExhaustiveDirect : Heuristic::kExhaustive,
+      tester, opts);
 
   // No sign pruning (paper §5.2.2): cap H by |contribution| instead, so
   // strong negative contributors — useful against non-rec targets — stay.
@@ -47,10 +42,7 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
               });
     h.resize(opts.max_subset_nodes);
   }
-  if (h.empty()) {
-    out.failure = FailureReason::kColdStart;
-    return recorder.Finish();
-  }
+  if (h.empty()) return search.Finish(FailureReason::kColdStart);
 
   // Effective target list: drop WNI and the user's interacted items if any
   // slipped in; keep order (ranking order from the caller).
@@ -112,11 +104,6 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
         }
       });
 
-  size_t max_size = h.size();
-  if (opts.max_explanation_size > 0) {
-    max_size = std::min(max_size, opts.max_explanation_size);
-  }
-
   struct Candidate {
     double min_margin;
     std::vector<size_t> indices;
@@ -134,6 +121,7 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
   const double slack = opts.exhaustive_margin_slack;
   std::vector<double> sums(num_targets);
   std::vector<char> skip(num_targets, 0);
+  const size_t max_size = internal::MaxExplanationSize(h.size(), opts);
   for (size_t size = 1; size <= max_size; ++size) {
     std::vector<Candidate> candidates;
     internal::ForEachCombination(
@@ -170,71 +158,35 @@ Explanation RunExhaustive(const G& g, const SearchSpace& space,
     if (direct && !candidates.empty()) {
       // The paper's Exhaustive-direct baseline: report the smallest
       // threshold-passing candidate without verification.
-      ++out.candidates_considered;
-      std::vector<EdgeRef> edges;
-      edges.reserve(candidates.front().indices.size());
-      for (size_t j : candidates.front().indices) edges.push_back(h[j].edge);
-      out.found = true;
-      out.verified = false;
-      out.edges = std::move(edges);
-      out.failure = FailureReason::kNone;
-      return recorder.Finish();
+      search.Consider();
+      search.Accept(internal::EdgesOf(h, candidates.front().indices),
+                    graph::kInvalidNode, /*verified=*/false);
+      break;
     }
 
-    // Verify this size class as one batch; a ParallelTester fans it across
-    // worker threads, accepting the lowest-index success (same candidate a
-    // serial scan finds).
+    // Verify this size class as one batch. The anytime candidate is the
+    // first untested one: the widest minimum margin of the remainder (most
+    // robust per Eq. 7), i.e. the one closest to a confirmed flip.
     std::vector<std::vector<EdgeRef>> batch;
     batch.reserve(candidates.size());
     for (const Candidate& cand : candidates) {
-      std::vector<EdgeRef> edges;
-      edges.reserve(cand.indices.size());
-      for (size_t j : cand.indices) edges.push_back(h[j].edge);
-      batch.push_back(std::move(edges));
+      batch.push_back(internal::EdgesOf(h, cand.indices));
     }
-    TesterInterface::BatchResult verdict = tester.TestBatch(
-        batch, space.mode,
-        [&budget](size_t tests) { return budget.Exhausted(tests); });
-    if (verdict.Found()) {
-      out.candidates_considered += verdict.accepted + 1;
-      out.found = true;
-      out.verified = tester.IsExact();
-      out.edges = std::move(batch[verdict.accepted]);
-      out.new_rec = verdict.new_rec;
-      out.failure = FailureReason::kNone;
-      if (out.verified &&
-          check::ShouldCheck(opts.check_level, check::CheckLevel::kFull)) {
-        check::DcheckOk(
-            check::ValidateExplanation(
-                g, WhyNotQuestion{space.user, space.wni}, out, opts),
-            "RunExhaustive");
-      }
-      return recorder.Finish();
+    if (search.Verify(std::move(batch), [&](size_t i) {
+          return -candidates[i].min_margin;
+        })) {
+      break;
     }
-    if (verdict.BudgetHit()) {
-      // The serial loop counted the candidate it was about to test when the
-      // budget fired.
-      out.candidates_considered += verdict.budget_index + 1;
-      out.failure = FailureReason::kBudgetExceeded;
-      if (opts.anytime && verdict.budget_index < batch.size()) {
-        // Anytime degradation: the first untested candidate has the widest
-        // minimum margin of the remainder (most robust per Eq. 7), i.e. the
-        // one closest to a confirmed flip. Deterministic at any thread
-        // count because budget_index follows the serial boundary.
-        out.found = true;
-        out.degraded = true;
-        out.verified = false;
-        out.edges = batch[verdict.budget_index];
-        double margin = candidates[verdict.budget_index].min_margin;
-        out.degraded_gap = margin < 0.0 ? -margin : 0.0;
-      }
-      return recorder.Finish();
-    }
-    out.candidates_considered += batch.size();
   }
 
-  out.failure = FailureReason::kSearchExhausted;
-  return recorder.Finish();
+  Explanation out = search.Finish(FailureReason::kSearchExhausted);
+  if (out.found && out.verified &&
+      check::ShouldCheck(opts.check_level, check::CheckLevel::kFull)) {
+    check::DcheckOk(check::ValidateExplanation(
+                        g, WhyNotQuestion{space.user, space.wni}, out, opts),
+                    "RunExhaustive");
+  }
+  return out;
 }
 
 // Explicit instantiations: the engine's CSR graph and the in-memory graph.

@@ -100,26 +100,10 @@ class FastExplanationTester : public TesterInterface {
   FastExplanationTester(const FastExplanationTester&) = delete;
   FastExplanationTester& operator=(const FastExplanationTester&) = delete;
 
-  bool Test(const std::vector<graph::EdgeRef>& edits, Mode mode,
-            graph::NodeId* new_rec = nullptr) override {
-    std::vector<ModedEdit> moded;
-    moded.reserve(edits.size());
-    for (const graph::EdgeRef& e : edits) moded.push_back(ModedEdit{e, mode});
-    return RunOnce(moded, new_rec);
-  }
-
-  bool TestMixed(const std::vector<ModedEdit>& edits,
-                 graph::NodeId* new_rec = nullptr) override {
-    return RunOnce(edits, new_rec);
-  }
-
-  size_t num_tests() const override { return num_tests_; }
-  bool IsExact() const override { return false; }
-
- private:
   /// Applies the edits, reads the top item, reverts. Returns false for
   /// malformed candidates.
-  bool RunOnce(const std::vector<ModedEdit>& edits, graph::NodeId* new_rec) {
+  bool TestMixed(const std::vector<ModedEdit>& edits,
+                 graph::NodeId* new_rec = nullptr) override {
     EMIGRE_SPAN("test.dynamic");
     EMIGRE_COUNTER("explain.tests.dynamic").Increment();
     ++num_tests_;
@@ -139,6 +123,10 @@ class FastExplanationTester : public TesterInterface {
     }
   }
 
+  size_t num_tests() const override { return num_tests_; }
+  bool IsExact() const override { return false; }
+
+ private:
   bool Apply(const std::vector<ModedEdit>& edits, graph::NodeId* new_rec) {
     // All explanation edits are rooted at the user (Definition 4.2), so a
     // single Before/After pair around the whole batch repairs the one
@@ -147,18 +135,9 @@ class FastExplanationTester : public TesterInterface {
     dyn_->BeforeOutEdgeChange(user_);
     bool ok = true;
     for (const ModedEdit& e : edits) {
-      if (e.edge.src != user_) {
-        ok = false;  // foreign-rooted edit: not supported by the fast path
-        break;
-      }
-      Status st;
-      if (e.mode == Mode::kAdd) {
-        st = overlay_.AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                              opts_.add_edge_weight);
-      } else {
-        st = overlay_.RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
-      }
-      if (!st.ok()) {
+      // A foreign-rooted edit is not supported by the fast path.
+      if (e.edge.src != user_ ||
+          !detail::ApplyEdit(overlay_, e, opts_.add_edge_weight).ok()) {
         ok = false;
         break;
       }

@@ -9,59 +9,24 @@ Explanation RunIncremental(const SearchSpace& space,
                            TesterInterface& tester,
                            const EmigreOptions& opts) {
   EMIGRE_SPAN("incremental");
-  internal::SearchBudget budget(opts);
-
-  Explanation out;
-  out.mode = space.mode;
-  out.heuristic = Heuristic::kIncremental;
-  out.search_space_size = space.actions.size();
-  internal::QueryRecorder recorder(&out, tester);
-
-  if (space.actions.empty()) {
-    out.failure = FailureReason::kColdStart;
-    return recorder.Finish();
-  }
+  internal::SearchDriver search(space, Heuristic::kIncremental, tester, opts);
+  if (space.actions.empty()) return search.Finish(FailureReason::kColdStart);
 
   double gap = space.tau;
   std::vector<graph::EdgeRef> accumulated;
-
   for (const CandidateAction& action : space.actions) {
     // H is sorted by descending contribution: once we hit a non-positive
     // one, no remaining candidate can help the Why-Not item.
     if (action.contribution <= 0.0) break;
-    if (budget.Exhausted(tester.num_tests())) {
-      out.failure = FailureReason::kBudgetExceeded;
-      if (opts.anytime && !accumulated.empty()) {
-        // Anytime degradation: surface the accumulated prefix — the
-        // candidate with the smallest remaining gap so far — instead of
-        // nothing. Never marked verified; see docs/robustness.md.
-        out.found = true;
-        out.degraded = true;
-        out.verified = false;
-        out.edges = accumulated;
-        out.degraded_gap = gap > 0.0 ? gap : 0.0;
-      }
-      return recorder.Finish();
-    }
+    // On budget expiry the accumulated prefix — the candidate with the
+    // smallest remaining gap so far — is the anytime result.
+    if (search.StopOnBudget(accumulated, gap)) break;
     accumulated.push_back(action.edge);
     gap -= action.contribution;
-    ++out.candidates_considered;
-
-    if (gap <= 0.0) {
-      graph::NodeId new_rec = graph::kInvalidNode;
-      if (tester.Test(accumulated, space.mode, &new_rec)) {
-        out.found = true;
-        out.verified = tester.IsExact();
-        out.edges = accumulated;
-        out.new_rec = new_rec;
-        out.failure = FailureReason::kNone;
-        return recorder.Finish();
-      }
-    }
+    search.Consider();
+    if (gap <= 0.0 && search.Test(accumulated)) break;
   }
-
-  out.failure = FailureReason::kSearchExhausted;
-  return recorder.Finish();
+  return search.Finish(FailureReason::kSearchExhausted);
 }
 
 }  // namespace emigre::explain

@@ -18,7 +18,9 @@ namespace emigre::explain {
 /// explanation size for speed (paper Fig. 6 vs Table 5).
 ///
 /// Negative-contribution candidates are pruned (they favor `rec`), matching
-/// the paper's Line 7 guard.
+/// the paper's Line 7 guard. `max_explanation_size` does not cap the
+/// prefix: the accumulation stops only on a verified flip, a non-positive
+/// contribution or the budget.
 Explanation RunIncremental(const SearchSpace& space, TesterInterface& tester,
                            const EmigreOptions& opts);
 

@@ -34,8 +34,8 @@ namespace emigre::explain {
 ///    index (what a serial scan would have consumed), not the live shared
 ///    counter, so parallel and serial runs stop at the same boundary.
 ///  - `num_tests()` aggregates every worker's TESTs through one atomic, so
-///    `QueryRecorder` diagnostics agree with the per-thread testers by
-///    construction.
+///    the search driver's `tests_performed` (internal.h) agrees with the
+///    per-thread testers by construction.
 ///
 /// Wall-clock deadlines remain time-based and can therefore fire at
 /// different candidates than a serial run — same as two serial runs on a

@@ -11,13 +11,7 @@ namespace emigre::explain {
 Explanation RunPowerset(const SearchSpace& space, TesterInterface& tester,
                         const EmigreOptions& opts) {
   EMIGRE_SPAN("powerset");
-  internal::SearchBudget budget(opts);
-
-  Explanation out;
-  out.mode = space.mode;
-  out.heuristic = Heuristic::kPowerset;
-  out.search_space_size = space.actions.size();
-  internal::QueryRecorder recorder(&out, tester);
+  internal::SearchDriver search(space, Heuristic::kPowerset, tester, opts);
 
   // Prune non-positive contributions (paper Alg. 4 lines 3–7); the actions
   // arrive sorted descending, so the positive prefix is contiguous. Then
@@ -30,21 +24,14 @@ Explanation RunPowerset(const SearchSpace& space, TesterInterface& tester,
   if (opts.max_subset_nodes > 0 && h.size() > opts.max_subset_nodes) {
     h.resize(opts.max_subset_nodes);
   }
-  if (h.empty()) {
-    out.failure = FailureReason::kColdStart;
-    return recorder.Finish();
-  }
-
-  size_t max_size = h.size();
-  if (opts.max_explanation_size > 0) {
-    max_size = std::min(max_size, opts.max_explanation_size);
-  }
+  if (h.empty()) return search.Finish(FailureReason::kColdStart);
 
   struct Combo {
     double sum;
     std::vector<size_t> indices;
   };
 
+  const size_t max_size = internal::MaxExplanationSize(h.size(), opts);
   for (size_t size = 1; size <= max_size; ++size) {
     // Materialize all size-`size` combinations with their contribution sums
     // and visit them in descending-sum order (paper: "ordered by
@@ -66,55 +53,26 @@ Explanation RunPowerset(const SearchSpace& space, TesterInterface& tester,
 
     // Sums descend: once a combination cannot close the gap, no later one
     // of the same size can either — the TESTable combos are a prefix, which
-    // becomes one verification batch (fanned across threads by a
-    // ParallelTester, lowest-index success accepted).
+    // becomes one verification batch.
     std::vector<std::vector<graph::EdgeRef>> batch;
     for (const Combo& combo : combos) {
       if (space.tau - combo.sum > 0.0) break;
-      std::vector<graph::EdgeRef> edges;
-      edges.reserve(combo.indices.size());
-      for (size_t i : combo.indices) edges.push_back(h[i].edge);
-      batch.push_back(std::move(edges));
+      batch.push_back(internal::EdgesOf(h, combo.indices));
     }
-    TesterInterface::BatchResult verdict = tester.TestBatch(
-        batch, space.mode,
-        [&budget](size_t tests) { return budget.Exhausted(tests); });
-    if (verdict.Found()) {
-      out.candidates_considered += verdict.accepted + 1;
-      out.found = true;
-      out.verified = tester.IsExact();
-      out.edges = std::move(batch[verdict.accepted]);
-      out.new_rec = verdict.new_rec;
-      out.failure = FailureReason::kNone;
-      if (check::ShouldCheck(opts.check_level, check::CheckLevel::kFull)) {
-        check::DcheckOk(check::ValidateExplanationInSpace(space, out, opts),
-                        "RunPowerset");
-      }
-      return recorder.Finish();
+    if (search.Verify(std::move(batch), [&](size_t i) {
+          return space.tau - combos[i].sum;
+        })) {
+      break;
     }
-    if (verdict.BudgetHit()) {
-      // The serial loop checked the budget before counting the candidate.
-      out.candidates_considered += verdict.budget_index;
-      out.failure = FailureReason::kBudgetExceeded;
-      if (opts.anytime && verdict.budget_index < batch.size()) {
-        // Anytime degradation: the first untested candidate is, by the
-        // descending-sum order, the strongest remaining one — exactly what
-        // a serial scan would have TESTed next. Deterministic at any thread
-        // count because budget_index follows the serial boundary.
-        out.found = true;
-        out.degraded = true;
-        out.verified = false;
-        out.edges = batch[verdict.budget_index];
-        double sum = combos[verdict.budget_index].sum;
-        out.degraded_gap = space.tau - sum > 0.0 ? space.tau - sum : 0.0;
-      }
-      return recorder.Finish();
-    }
-    out.candidates_considered += batch.size();
   }
 
-  out.failure = FailureReason::kSearchExhausted;
-  return recorder.Finish();
+  Explanation out = search.Finish(FailureReason::kSearchExhausted);
+  if (out.found && !out.degraded &&
+      check::ShouldCheck(opts.check_level, check::CheckLevel::kFull)) {
+    check::DcheckOk(check::ValidateExplanationInSpace(space, out, opts),
+                    "RunPowerset");
+  }
+  return out;
 }
 
 }  // namespace emigre::explain

@@ -2,6 +2,14 @@
 
 namespace emigre::explain {
 
+bool TesterInterface::Test(const std::vector<graph::EdgeRef>& edits,
+                           Mode mode, graph::NodeId* new_rec) {
+  std::vector<ModedEdit> moded;
+  moded.reserve(edits.size());
+  for (const graph::EdgeRef& e : edits) moded.push_back(ModedEdit{e, mode});
+  return TestMixed(moded, new_rec);
+}
+
 TesterInterface::BatchResult TesterInterface::TestBatch(
     const std::vector<std::vector<graph::EdgeRef>>& batch, Mode mode,
     const BudgetFn& budget) {

@@ -33,9 +33,10 @@ class TesterInterface {
 
   /// Returns true iff applying `edits` in `mode` puts the Why-Not item at
   /// the top of the recommendation list. `new_rec`, when non-null, receives
-  /// the counterfactual top-1 (whatever it is).
+  /// the counterfactual top-1 (whatever it is). The base implementation
+  /// tags every edit with `mode` and calls `TestMixed`.
   virtual bool Test(const std::vector<graph::EdgeRef>& edits, Mode mode,
-                    graph::NodeId* new_rec = nullptr) = 0;
+                    graph::NodeId* new_rec = nullptr);
 
   /// One edit with its own direction; the combined Add/Remove mode (paper
   /// future work, §6.4 "Out Of Scope Item") mixes both in one candidate.
@@ -111,6 +112,17 @@ class TesterInterface {
 
 namespace detail {
 
+/// Applies one edit to `overlay` in its direction; added edges carry
+/// `add_weight`. Fails for a duplicate add or a missing removal target.
+[[nodiscard]] inline Status ApplyEdit(graph::CsrOverlay& overlay,
+                                      const TesterInterface::ModedEdit& e,
+                                      double add_weight) {
+  if (e.mode == Mode::kAdd) {
+    return overlay.AddEdge(e.edge.src, e.edge.dst, e.edge.type, add_weight);
+  }
+  return overlay.RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
+}
+
 /// The CSR graph a tester runs on: `csr` when the caller shares one (the
 /// `Emigre` facade passes its own), otherwise a snapshot of `base` stored
 /// in `*owned`.
@@ -150,18 +162,9 @@ class ExplanationTester : public TesterInterface {
   ExplanationTester(const ExplanationTester&) = delete;
   ExplanationTester& operator=(const ExplanationTester&) = delete;
 
-  bool Test(const std::vector<graph::EdgeRef>& edits, Mode mode,
-            graph::NodeId* new_rec = nullptr) override {
-    std::vector<ModedEdit> moded;
-    moded.reserve(edits.size());
-    for (const graph::EdgeRef& e : edits) moded.push_back(ModedEdit{e, mode});
-    return RunOnce(moded, new_rec);
-  }
-
+  /// Applies each edit in its direction and re-runs the recommender.
   bool TestMixed(const std::vector<ModedEdit>& edits,
-                 graph::NodeId* new_rec = nullptr) override {
-    return RunOnce(edits, new_rec);
-  }
+                 graph::NodeId* new_rec = nullptr) override;
 
   size_t num_tests() const override { return num_tests_; }
   bool IsExact() const override { return true; }
@@ -170,10 +173,6 @@ class ExplanationTester : public TesterInterface {
   graph::NodeId why_not_item() const { return wni_; }
 
  private:
-  /// Shared body of Test/TestMixed: applies each edit in its direction and
-  /// re-runs the recommender.
-  bool RunOnce(const std::vector<ModedEdit>& edits, graph::NodeId* new_rec);
-
   // Declared before overlay_, which it may back.
   std::unique_ptr<graph::CsrGraph> owned_csr_;
   graph::CsrOverlay overlay_;
@@ -184,8 +183,8 @@ class ExplanationTester : public TesterInterface {
   ppr::PushWorkspace ws_;
 };
 
-inline bool ExplanationTester::RunOnce(const std::vector<ModedEdit>& edits,
-                                       graph::NodeId* new_rec) {
+inline bool ExplanationTester::TestMixed(const std::vector<ModedEdit>& edits,
+                                         graph::NodeId* new_rec) {
   EMIGRE_SPAN("test.exact");
   EMIGRE_COUNTER("explain.tests.exact").Increment();
   ++num_tests_;
@@ -195,14 +194,7 @@ inline bool ExplanationTester::RunOnce(const std::vector<ModedEdit>& edits,
     // in the reusable workspace.
     overlay_.Clear();
     for (const ModedEdit& e : edits) {
-      Status st;
-      if (e.mode == Mode::kAdd) {
-        st = overlay_.AddEdge(e.edge.src, e.edge.dst, e.edge.type,
-                              opts_.add_edge_weight);
-      } else {
-        st = overlay_.RemoveEdge(e.edge.src, e.edge.dst, e.edge.type);
-      }
-      if (!st.ok()) {
+      if (!detail::ApplyEdit(overlay_, e, opts_.add_edge_weight).ok()) {
         // A malformed candidate (duplicate add, missing removal target)
         // can never be a valid explanation.
         if (new_rec != nullptr) *new_rec = graph::kInvalidNode;

@@ -68,7 +68,7 @@ TEST(AnytimeDegradedTest, SerialAndParallelReturnTheSameDegradedResult) {
   // between serial and 4-way parallel verification, degraded or not — the
   // anytime candidate is keyed to the serial budget boundary.
   for (Heuristic h : {Heuristic::kIncremental, Heuristic::kPowerset,
-                      Heuristic::kExhaustive}) {
+                      Heuristic::kExhaustive, Heuristic::kBruteForce}) {
     for (size_t max_tests : {1u, 2u, 3u, 5u, 8u}) {
       explain::EmigreOptions serial = base;
       serial.max_tests = max_tests;
@@ -90,6 +90,11 @@ TEST(AnytimeDegradedTest, SerialAndParallelReturnTheSameDegradedResult) {
           ASSERT_EQ(rs.ok(), rp.ok());
           if (!rs.ok()) continue;
           ExpectSameExplanation(rs.value(), rp.value());
+          // Brute force has no gap estimate to rank untested subsets by:
+          // its budget stop stays a bare kBudgetExceeded.
+          if (h == Heuristic::kBruteForce) {
+            EXPECT_FALSE(rs->degraded);
+          }
           if (rs->degraded) {
             ++degraded_seen;
             // The degraded contract.
@@ -103,6 +108,62 @@ TEST(AnytimeDegradedTest, SerialAndParallelReturnTheSameDegradedResult) {
     }
   }
   EXPECT_GT(degraded_seen, 0u) << "the sweep never exercised degradation";
+}
+
+// One counting rule for every batch heuristic (docs/robustness.md): a
+// budget stop counts the candidates TESTed before it, never the one it
+// stopped. Under a TEST cap the serial run has therefore considered and
+// TESTed exactly `max_tests` candidates, and a 4-thread run, whose budget
+// follows the serial boundary, has considered the same number.
+TEST(BudgetAccountingTest, BudgetStopCountsTheCandidatesTested) {
+  Rng rng(23);
+  test::RandomHin rh = test::MakeRandomHin(rng, 12, 30, 3, 8);
+  explain::EmigreOptions base = test::MakeRandomHinOptions(rh);
+  // A wide Eq. 7 slack passes most combinations on to TEST, so Exhaustive's
+  // batches are long enough for the cap to stop them (its default slack
+  // rarely leaves more than one candidate on graphs this small).
+  base.exhaustive_margin_slack = 1.0;
+  for (Heuristic h : {Heuristic::kPowerset, Heuristic::kBruteForce,
+                      Heuristic::kExhaustive}) {
+    size_t stops = 0;
+    for (Mode mode : {Mode::kRemove, Mode::kAdd}) {
+      for (bool anytime : {false, true}) {
+        for (size_t max_tests : {1u, 2u, 3u}) {
+          explain::EmigreOptions serial = base;
+          serial.anytime = anytime;
+          serial.max_tests = max_tests;
+          serial.test_threads = 1;
+          explain::EmigreOptions parallel = serial;
+          parallel.test_threads = 4;
+          Emigre serial_engine(rh.g, serial);
+          Emigre parallel_engine(rh.g, parallel);
+          for (size_t u = 0; u < 4 && u < rh.users.size(); ++u) {
+            for (size_t i = 0; i < 6 && i < rh.items.size(); ++i) {
+              SCOPED_TRACE(testing::Message()
+                           << "heuristic=" << static_cast<int>(h)
+                           << " mode=" << static_cast<int>(mode)
+                           << " anytime=" << anytime
+                           << " max_tests=" << max_tests << " user="
+                           << rh.users[u] << " wni=" << rh.items[i]);
+              WhyNotQuestion q{rh.users[u], rh.items[i]};
+              Result<Explanation> rs = serial_engine.Explain(q, mode, h);
+              Result<Explanation> rp = parallel_engine.Explain(q, mode, h);
+              ASSERT_EQ(rs.ok(), rp.ok());
+              if (!rs.ok()) continue;
+              EXPECT_EQ(rs->failure, rp->failure);
+              if (rs->failure != FailureReason::kBudgetExceeded) continue;
+              ++stops;
+              EXPECT_EQ(rs->candidates_considered, max_tests);
+              EXPECT_EQ(rs->tests_performed, max_tests);
+              EXPECT_EQ(rp->candidates_considered, rs->candidates_considered);
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(stops, 0u) << "heuristic " << static_cast<int>(h)
+                         << " never stopped on the budget";
+  }
 }
 
 TEST(AnytimeDegradedTest, ValidateExplanationRejectsDegradedResults) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "explain/emigre.h"
 #include "ppr/power_iteration.h"
 #include "recsys/recommender.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace emigre::explain {
 namespace {
@@ -176,6 +178,55 @@ TEST_F(SearchSpaceTest, EmptyAllowedTypesMeansAllTypes) {
   ASSERT_TRUE(space.ok());
   // Now the follows edges join the candidate list: 2 rated + 2 follows.
   EXPECT_EQ(space->actions.size(), 4u);
+}
+
+// The engine's space — its CSR graph through its reverse-push cache — is
+// the free builder's over the source graph with the dense no-cache reverse
+// push: same actions, bitwise-equal τ, contributions and PPR vectors.
+void ExpectSameSpace(const SearchSpace& a, const SearchSpace& b) {
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.tau, b.tau);
+  EXPECT_EQ(a.ppr_to_rec, b.ppr_to_rec);
+  EXPECT_EQ(a.ppr_to_wni, b.ppr_to_wni);
+  ASSERT_EQ(a.actions.size(), b.actions.size());
+  for (size_t i = 0; i < a.actions.size(); ++i) {
+    EXPECT_EQ(a.actions[i].edge, b.actions[i].edge) << "action " << i;
+    EXPECT_EQ(a.actions[i].contribution, b.actions[i].contribution)
+        << "action " << i;
+  }
+}
+
+TEST(EngineSearchSpaceTest, MatchesNoCacheBuilderOverTheSource) {
+  Rng rng(5);
+  for (int round = 0; round < 3; ++round) {
+    test::RandomHin rh = test::MakeRandomHin(rng, 8, 24, 3, 6);
+    EmigreOptions opts = test::MakeRandomHinOptions(rh);
+    Emigre engine(rh.g, opts);
+    for (NodeId user : rh.users) {
+      const NodeId rec = engine.CurrentRanking(user).Top();
+      for (size_t i = 0; i < rh.items.size(); i += 5) {
+        const NodeId wni = rh.items[i];
+        if (wni == rec) continue;
+        SCOPED_TRACE(testing::Message() << "round=" << round << " user="
+                                        << user << " wni=" << wni);
+        const WhyNotQuestion q{user, wni};
+        for (Mode mode : {Mode::kRemove, Mode::kAdd}) {
+          Result<SearchSpace> cached = engine.BuildSearchSpace(q, mode, rec);
+          Result<SearchSpace> dense =
+              mode == Mode::kRemove
+                  ? BuildRemoveSearchSpace(rh.g, user, rec, wni, opts)
+                  : BuildAddSearchSpace(rh.g, user, rec, wni, opts);
+          ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+          ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+          ExpectSameSpace(cached.value(), dense.value());
+        }
+        // A second build reuses the cached PPR(·, WNI) and PPR(·, rec).
+        const size_t hits = engine.ppr_cache().hits();
+        ASSERT_TRUE(engine.BuildSearchSpace(q, Mode::kRemove, rec).ok());
+        EXPECT_GT(engine.ppr_cache().hits(), hits);
+      }
+    }
+  }
 }
 
 }  // namespace

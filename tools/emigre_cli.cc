@@ -62,7 +62,6 @@
 #include "explain/emigre.h"
 #include "explain/format.h"
 #include "explain/meta.h"
-#include "explain/search_space.h"
 #include "fault/fault.h"
 #include <fstream>
 #include <sstream>
@@ -77,7 +76,6 @@
 #include "obs/query_log.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "ppr/cache.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -697,16 +695,9 @@ int ExplainOn(const G& g, const FlagParser& parser) {
   if (!e.found) {
     std::printf("no explanation (%s)\n",
                 std::string(FailureReasonName(e.failure)).c_str());
-    // Meta-explanation for the failure (§6.4), its search space rebuilt
-    // on the engine's CSR with the push kernels.
-    ppr::ReversePushCache<graph::CsrGraph> cache(engine.csr(), opts.rec.ppr);
-    auto space = e.mode == explain::Mode::kRemove
-                     ? explain::BuildRemoveSearchSpace(
-                           engine.csr(), user, e.original_rec, item, opts,
-                           &cache)
-                     : explain::BuildAddSearchSpace(
-                           engine.csr(), user, e.original_rec, item, opts,
-                           &cache);
+    // Meta-explanation for the failure (§6.4). The engine's cache still
+    // holds PPR(·, WNI) and PPR(·, rec) from the query that just failed.
+    auto space = engine.BuildSearchSpace(q, e.mode, e.original_rec);
     if (space.ok()) {
       std::printf("diagnosis: %s\n",
                   explain::DiagnoseFailure(g, space.value(), e, opts)

@@ -46,6 +46,12 @@ Rules (each can be suppressed per line with a trailing `NOLINT` or
                    (docs/static_analysis.md). Keeps annotations from
                    silently rotting on GCC-only changes, where the macros
                    compile to nothing.
+  batch-verdict    in src/explain/, `BatchResult`, `.Found()`, `.BudgetHit()`
+                   and `QueryRecorder` appear only in internal.*, tester.*
+                   and parallel_tester.*: the search heuristics hand their
+                   candidates to the shared driver (internal.h), which alone
+                   turns a TEST verdict into an Explanation, so the verdict
+                   mapping cannot be copied into a heuristic again.
 
 Usage:
   tools/lint.py [--root DIR] [paths...]   lint the repo (or just paths)
@@ -72,6 +78,7 @@ RULES = (
     "obs-name",
     "ondisk-assert",
     "guarded-by",
+    "batch-verdict",
 )
 
 # dense-reset guards the PPR hot paths only: everywhere else a dense
@@ -541,6 +548,29 @@ def check_fault_catalog(root, seen_sites, violations):
                 f"src/; remove the stale entry or re-add the site"))
 
 
+BATCH_VERDICT_DIR = "src/explain/"
+# Files (by stem) that own the TEST verdict: the testers that produce it
+# and the search driver that maps it to an Explanation.
+BATCH_VERDICT_OWNERS = ("internal", "tester", "parallel_tester")
+BATCH_VERDICT_RE = re.compile(
+    r"\bBatchResult\b|(?:\.|->)\s*(?:Found|BudgetHit)\s*\(\s*\)"
+    r"|\bQueryRecorder\b")
+
+
+def check_batch_verdict(relpath, stripped_lines, raw_lines, violations):
+    stem = os.path.splitext(os.path.basename(relpath))[0]
+    if stem in BATCH_VERDICT_OWNERS:
+        return
+    for idx, line in enumerate(stripped_lines):
+        m = BATCH_VERDICT_RE.search(line)
+        if m and not is_suppressed(raw_lines[idx], "batch-verdict"):
+            violations.append(Violation(
+                relpath, idx + 1, "batch-verdict",
+                f"`{m.group(0)}` outside the search driver; hand the "
+                "candidates to internal::SearchDriver instead of reading "
+                "the TEST verdict here"))
+
+
 def check_bench_metrics(relpath, text, violations):
     name = os.path.basename(relpath)
     m = re.match(r"bench_(\w+)\.cc$", name)
@@ -584,6 +614,9 @@ def lint_file(root, relpath, seen_fault_sites=None, seen_obs_names=None):
         check_dense_reset(relpath, stripped, raw_lines, violations)
     if relpath.startswith("src/") and relpath.endswith((".h", ".cc")):
         check_ondisk_assert(relpath, stripped, raw_lines, violations)
+    if relpath.startswith(BATCH_VERDICT_DIR) and relpath.endswith(
+            (".h", ".cc")):
+        check_batch_verdict(relpath, stripped, raw_lines, violations)
     if relpath.endswith((".h", ".cc")):
         check_guarded_by(relpath, stripped, raw_lines, violations)
         # Single-file runs (and the self-test) still catch intra-file
@@ -692,6 +725,11 @@ SEEDED = {
         "  size_t hits_ = 0;\n"
         "};\n"
         "#endif  // EMIGRE_UTIL_UNGUARDED_H_\n"),
+    "batch-verdict": (
+        "src/explain/copied_verdict.cc",
+        "bool Decide(TesterInterface::BatchResult verdict) {\n"
+        "  return verdict.Found() || verdict.BudgetHit();\n"
+        "}\n"),
 }
 
 CLEAN_FILE = (
