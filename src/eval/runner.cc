@@ -9,7 +9,6 @@
 #include "check/invariants.h"
 #include "explain/emigre.h"
 #include "explain/meta.h"
-#include "explain/search_space.h"
 #include "explain/tester.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -169,14 +168,11 @@ Result<ExperimentResult> RunExperiment(const graph::HinGraph& g,
       if (!e.found && e.failure == explain::FailureReason::kSearchExhausted) {
         // Refine the failure label with the §6.4 meta-explanation taxonomy
         // (e.g. "popular item"), outside the method's timed section.
-        auto space =
-            method.mode == explain::Mode::kRemove
-                ? explain::BuildRemoveSearchSpace(g, scenario.user,
-                                                  e.original_rec,
-                                                  scenario.wni, opts)
-                : explain::BuildAddSearchSpace(g, scenario.user,
-                                               e.original_rec, scenario.wni,
-                                               opts);
+        // The engine's space: its CSR and reverse-push cache, which the
+        // Explain call above already filled for this question.
+        auto space = engine.BuildSearchSpace(
+            explain::WhyNotQuestion{scenario.user, scenario.wni}, method.mode,
+            e.original_rec);
         if (space.ok()) {
           record.failure =
               explain::DiagnoseFailure(g, space.value(), e, opts).reason;

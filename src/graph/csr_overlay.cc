@@ -29,6 +29,7 @@ Status CsrOverlay::AddEdge(NodeId src, NodeId dst, EdgeTypeId type,
     return Status::InvalidArgument(
         StrFormat("csr overlay AddEdge(%u, %u): node out of range", src, dst));
   }
+  TouchEdge(src, dst);
   if (!(weight > 0.0)) {
     return Status::InvalidArgument(
         "csr overlay AddEdge: weight must be positive");
@@ -59,6 +60,7 @@ Status CsrOverlay::RemoveEdge(NodeId src, NodeId dst, EdgeTypeId type) {
     return Status::InvalidArgument(StrFormat(
         "csr overlay RemoveEdge(%u, %u): node out of range", src, dst));
   }
+  TouchEdge(src, dst);
   // Undo an overlay addition first, if present.
   if (auto it = added_out_.find(src); it != added_out_.end()) {
     double w = EraseEntry(&it->second, dst, type);
@@ -97,6 +99,7 @@ Status CsrOverlay::SetWeight(NodeId src, NodeId dst, EdgeTypeId type,
     return Status::InvalidArgument(StrFormat(
         "csr overlay SetWeight(%u, %u): node out of range", src, dst));
   }
+  TouchEdge(src, dst);
   if (!(weight > 0.0)) {
     return Status::InvalidArgument(
         "csr overlay SetWeight: weight must be positive");
@@ -137,6 +140,8 @@ Status CsrOverlay::SetWeight(NodeId src, NodeId dst, EdgeTypeId type,
 }
 
 void CsrOverlay::Clear() {
+  for (NodeId n : touched_nodes_) touched_[n] = 0;
+  touched_nodes_.clear();
   removed_.clear();
   removed_src_.clear();
   removed_dst_.clear();
@@ -164,6 +169,7 @@ std::vector<EdgeRef> CsrOverlay::RemovedEdges() const {
 
 size_t CsrOverlay::OutDegree(NodeId n) const {
   size_t degree = base_->OutDegree(n);
+  if ((touched_[n] & kOutTouched) == 0) return degree;
   if (auto it = removed_src_.find(n); it != removed_src_.end()) {
     degree -= it->second;
   }
@@ -175,6 +181,7 @@ size_t CsrOverlay::OutDegree(NodeId n) const {
 
 size_t CsrOverlay::InDegree(NodeId n) const {
   size_t degree = base_->InDegree(n);
+  if ((touched_[n] & kInTouched) == 0) return degree;
   if (auto it = removed_dst_.find(n); it != removed_dst_.end()) {
     degree -= it->second;
   }

@@ -1,6 +1,7 @@
 #ifndef EMIGRE_GRAPH_CSR_OVERLAY_H_
 #define EMIGRE_GRAPH_CSR_OVERLAY_H_
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,12 +27,26 @@ namespace emigre::graph {
 /// mutable `HinGraph` scratch copy loses it: remove + re-add reorders the
 /// adjacency list).
 ///
-/// Overlays are cheap to construct and to `Clear()`, and several overlays
-/// over the same base may be used concurrently from different threads as
-/// long as the base outlives them.
+/// A TEST edits a handful of edges around one user, but every power sweep
+/// and push reads every node. So the overlay keeps a dense touched index,
+/// one byte per node with an "out touched" and an "in touched" bit, set by
+/// every edit that passes its node-range check. `OutWeight`, `OutDegree`,
+/// `InDegree` and the two traversals test that byte first and read the base
+/// CSR directly for an untouched node: no hash probe on the hot paths, the
+/// same edges in the same order. The edit maps stay the source of truth for
+/// touched nodes; a bit set by a failed edit, or one left over after
+/// `Clear()` empties the maps, only costs the maps' lookups, never a wrong
+/// answer. The index costs `NumNodes()` bytes per overlay (about 39 KB on
+/// the medium band), allocated once at construction.
+///
+/// `Clear()` resets only the bytes that edits set, so it is O(edits), not
+/// O(|V|). Several overlays over the same base may be used concurrently
+/// from different threads as long as the base outlives them: each owns its
+/// index.
 class CsrOverlay {
  public:
-  explicit CsrOverlay(const CsrGraph& base) : base_(&base) {}
+  explicit CsrOverlay(const CsrGraph& base)
+      : base_(&base), touched_(base.NumNodes(), 0) {}
 
   const CsrGraph& base() const { return *base_; }
 
@@ -73,6 +88,7 @@ class CsrOverlay {
   /// Effective out-weight of `n` (base plus overlay delta).
   double OutWeight(NodeId n) const {
     double w = base_->OutWeight(n);
+    if ((touched_[n] & kOutTouched) == 0) return w;
     auto it = out_weight_delta_.find(n);
     if (it != out_weight_delta_.end()) w += it->second;
     return w < 0.0 ? 0.0 : w;
@@ -87,13 +103,13 @@ class CsrOverlay {
 
   template <typename F>
   void ForEachOutEdge(NodeId n, F&& fn) const {
-    if (removed_.empty() || removed_src_.count(n) == 0) {
+    if ((touched_[n] & kOutTouched) == 0) {
       base_->ForEachOutEdge(n, fn);
-    } else {
-      base_->ForEachOutEdge(n, [&](NodeId dst, EdgeTypeId t, double w) {
-        if (removed_.count(EdgeRef{n, dst, t}) == 0) fn(dst, t, w);
-      });
+      return;
     }
+    base_->ForEachOutEdge(n, [&](NodeId dst, EdgeTypeId t, double w) {
+      if (removed_.count(EdgeRef{n, dst, t}) == 0) fn(dst, t, w);
+    });
     auto it = added_out_.find(n);
     if (it != added_out_.end()) {
       for (const Edge& e : it->second) fn(e.node, e.type, e.weight);
@@ -102,13 +118,13 @@ class CsrOverlay {
 
   template <typename F>
   void ForEachInEdge(NodeId n, F&& fn) const {
-    if (removed_.empty() || removed_dst_.count(n) == 0) {
+    if ((touched_[n] & kInTouched) == 0) {
       base_->ForEachInEdge(n, fn);
-    } else {
-      base_->ForEachInEdge(n, [&](NodeId src, EdgeTypeId t, double w) {
-        if (removed_.count(EdgeRef{src, n, t}) == 0) fn(src, t, w);
-      });
+      return;
     }
+    base_->ForEachInEdge(n, [&](NodeId src, EdgeTypeId t, double w) {
+      if (removed_.count(EdgeRef{src, n, t}) == 0) fn(src, t, w);
+    });
     auto it = added_in_.find(n);
     if (it != added_in_.end()) {
       for (const Edge& e : it->second) fn(e.node, e.type, e.weight);
@@ -116,10 +132,27 @@ class CsrOverlay {
   }
 
  private:
+  static constexpr uint8_t kOutTouched = 1;  // out-edges or out-weight edited
+  static constexpr uint8_t kInTouched = 2;   // in-edges edited
+
+  // Sets `bits` in `n`'s touched byte (n must be in range).
+  void Touch(NodeId n, uint8_t bits) {
+    if (touched_[n] == 0) touched_nodes_.push_back(n);
+    touched_[n] |= bits;
+  }
+  // Marks both endpoints of an edit that passed its range check.
+  void TouchEdge(NodeId src, NodeId dst) {
+    Touch(src, kOutTouched);
+    Touch(dst, kInTouched);
+  }
+
   const CsrGraph* base_;
+  // Dense touched index (see the class comment) and the nodes whose byte
+  // is non-zero, so Clear() resets only those.
+  std::vector<uint8_t> touched_;
+  std::vector<NodeId> touched_nodes_;
   std::unordered_set<EdgeRef, EdgeRefHash> removed_;
-  // Nodes that appear as src/dst of some removed edge — lets the hot
-  // iteration path skip hash probes entirely for untouched nodes.
+  // Per-node counts of removed edges, for the effective degrees only.
   std::unordered_map<NodeId, size_t> removed_src_;
   std::unordered_map<NodeId, size_t> removed_dst_;
   std::unordered_map<NodeId, std::vector<Edge>> added_out_;

@@ -10,10 +10,12 @@ namespace emigre::graph {
 
 /// \brief Concept modeled by every graph view the PPR engines accept.
 ///
-/// `HinGraph`, `GraphOverlay` and `CsrGraph` all satisfy it. The traversal
-/// callbacks (`ForEachOutEdge` / `ForEachInEdge`) are template members and
-/// therefore checked at use sites rather than in the requires-clause; the
-/// concept still documents and enforces the scalar surface.
+/// `HinGraph`, `CsrGraph`, `CsrSnapshotView`, `CsrOverlay` and
+/// `BasicGraphOverlay` over any of them (`GraphOverlay` is the `HinGraph`
+/// one) satisfy it. The traversal callbacks (`ForEachOutEdge` /
+/// `ForEachInEdge`) are template members and therefore checked at use sites
+/// rather than in the requires-clause; the concept still documents and
+/// enforces the scalar surface.
 template <typename G>
 concept GraphLike = requires(const G& g, NodeId n) {
   { g.NumNodes() } -> std::convertible_to<size_t>;

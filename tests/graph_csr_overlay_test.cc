@@ -3,16 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "graph/csr.h"
 #include "graph/overlay.h"
+#include "graph/traits.h"
 #include "test_util.h"
 #include "util/rng.h"
 
 namespace emigre::graph {
 namespace {
+
+static_assert(GraphLike<CsrOverlay>);
 
 using Snapshot = std::map<std::tuple<NodeId, NodeId, EdgeTypeId>, double>;
 
@@ -110,39 +114,169 @@ TEST(CsrOverlayTest, MatchesGraphOverlaySemantics) {
   }
 }
 
+// Every node's out- (or in-) edges in traversal order.
+using Trail = std::vector<std::tuple<NodeId, EdgeTypeId, double>>;
+
+template <typename G>
+std::vector<Trail> OutTrails(const G& g) {
+  std::vector<Trail> trails(g.NumNodes());
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    g.ForEachOutEdge(n, [&](NodeId dst, EdgeTypeId t, double w) {
+      trails[n].emplace_back(dst, t, w);
+    });
+  }
+  return trails;
+}
+
+template <typename G>
+std::vector<Trail> InTrails(const G& g) {
+  std::vector<Trail> trails(g.NumNodes());
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    g.ForEachInEdge(n, [&](NodeId src, EdgeTypeId t, double w) {
+      trails[n].emplace_back(src, t, w);
+    });
+  }
+  return trails;
+}
+
+// The CsrOverlay's whole effective graph, node by node, against the
+// GraphOverlay reference: traversal order included, since the bitwise
+// kernel equivalences rest on it.
+void ExpectSameEffectiveGraph(const GraphOverlay& ref, const CsrOverlay& o) {
+  ASSERT_EQ(OutTrails(ref), OutTrails(o));
+  ASSERT_EQ(InTrails(ref), InTrails(o));
+  for (NodeId n = 0; n < ref.NumNodes(); ++n) {
+    ASSERT_DOUBLE_EQ(ref.OutWeight(n), o.OutWeight(n)) << "node " << n;
+    ASSERT_EQ(ref.OutDegree(n), o.OutDegree(n)) << "node " << n;
+    ASSERT_EQ(ref.InDegree(n), o.InDegree(n)) << "node " << n;
+  }
+  ASSERT_EQ(ref.NumAdded(), o.NumAdded());
+  ASSERT_EQ(ref.NumRemoved(), o.NumRemoved());
+  ASSERT_EQ(ref.AddedEdges(), o.AddedEdges());
+  ASSERT_EQ(ref.RemovedEdges(), o.RemovedEdges());
+}
+
 TEST(CsrOverlayTest, MatchesGraphOverlayOnRandomEditSequences) {
+  // Differential check of the touched-node index: after EVERY step of a
+  // random edit sequence, the CsrOverlay must read exactly like a
+  // GraphOverlay replaying the same edits. The sequence mixes successful
+  // edits (fresh add, base removal, un-remove, undoing an addition,
+  // re-weighting base and added edges) with failed ones (duplicate add,
+  // double removal, missing SetWeight target, out-of-range ids) and
+  // Clear(), which a fresh reference mirrors.
   Rng rng(99);
-  for (int round = 0; round < 5; ++round) {
+  // [case][ok]: how often each step kind succeeded and failed, so the
+  // sequence provably reaches the paths listed above.
+  int outcomes[10][2] = {};
+  for (int round = 0; round < 6; ++round) {
     test::RandomHin rh = test::MakeRandomHin(rng, 6, 20, 3, 5);
-    CsrGraph csr(rh.g);
-    GraphOverlay ref(rh.g);
-    CsrOverlay o(csr);
-    for (int step = 0; step < 40; ++step) {
-      NodeId src = static_cast<NodeId>(rng.NextBounded(rh.g.NumNodes()));
-      NodeId dst = static_cast<NodeId>(rng.NextBounded(rh.g.NumNodes()));
-      EdgeTypeId t = static_cast<EdgeTypeId>(
-          rng.NextBounded(rh.g.NumEdgeTypes()));
-      int kind = static_cast<int>(rng.NextBounded(3));
-      Status ref_st, csr_st;
-      if (kind == 0) {
-        ref_st = ref.AddEdge(src, dst, t, 1.5);
-        csr_st = o.AddEdge(src, dst, t, 1.5);
-      } else if (kind == 1) {
-        ref_st = ref.RemoveEdge(src, dst, t);
-        csr_st = o.RemoveEdge(src, dst, t);
-      } else {
-        ref_st = ref.SetWeight(src, dst, t, 2.0);
-        csr_st = o.SetWeight(src, dst, t, 2.0);
-      }
-      ASSERT_EQ(ref_st.code(), csr_st.code())
-          << "round " << round << " step " << step;
+    const size_t n = rh.g.NumNodes();
+    std::vector<EdgeRef> base_edges;
+    for (NodeId src = 0; src < n; ++src) {
+      rh.g.ForEachOutEdge(src, [&](NodeId dst, EdgeTypeId t, double) {
+        base_edges.push_back(EdgeRef{src, dst, t});
+      });
     }
-    EXPECT_EQ(SnapshotOutEdges(ref), SnapshotOutEdges(o));
-    EXPECT_EQ(SnapshotInEdges(ref), SnapshotInEdges(o));
-    for (NodeId n = 0; n < rh.g.NumNodes(); ++n) {
-      EXPECT_DOUBLE_EQ(ref.OutWeight(n), o.OutWeight(n));
+    ASSERT_FALSE(base_edges.empty());
+    CsrGraph csr(rh.g);
+    auto ref = std::make_unique<GraphOverlay>(rh.g);
+    CsrOverlay o(csr);
+    auto random_node = [&] {
+      return static_cast<NodeId>(rng.NextBounded(n));
+    };
+    auto random_type = [&] {
+      return static_cast<EdgeTypeId>(rng.NextBounded(rh.g.NumEdgeTypes()));
+    };
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE(testing::Message() << "round " << round << " step "
+                                      << step);
+      const double weight = 0.5 + static_cast<double>(rng.NextBounded(4));
+      EdgeRef e{random_node(), random_node(), random_type()};
+      Status ref_st, csr_st;
+      const uint64_t which = rng.NextBounded(10);
+      switch (which) {
+        case 0:  // Clear, mirrored by a fresh reference.
+          o.Clear();
+          ref = std::make_unique<GraphOverlay>(rh.g);
+          ASSERT_FALSE(o.HasEdits());
+          break;
+        case 1:  // Random add: a fresh edge, or a duplicate.
+          ref_st = ref->AddEdge(e.src, e.dst, e.type, weight);
+          csr_st = o.AddEdge(e.src, e.dst, e.type, weight);
+          break;
+        case 2: {  // Add a base edge: duplicate add, or un-remove.
+          std::vector<EdgeRef> removed = ref->RemovedEdges();
+          e = !removed.empty() && rng.NextBool()
+                  ? removed[rng.NextBounded(removed.size())]
+                  : base_edges[rng.NextBounded(base_edges.size())];
+          ref_st = ref->AddEdge(e.src, e.dst, e.type, weight);
+          csr_st = o.AddEdge(e.src, e.dst, e.type, weight);
+          break;
+        }
+        case 3:  // Remove a base edge: masks it, or a double removal.
+          e = base_edges[rng.NextBounded(base_edges.size())];
+          ref_st = ref->RemoveEdge(e.src, e.dst, e.type);
+          csr_st = o.RemoveEdge(e.src, e.dst, e.type);
+          break;
+        case 4:  // Random removal: mostly a missing target.
+          ref_st = ref->RemoveEdge(e.src, e.dst, e.type);
+          csr_st = o.RemoveEdge(e.src, e.dst, e.type);
+          break;
+        case 5:  // Re-weight a base edge (NotFound once it is removed).
+          e = base_edges[rng.NextBounded(base_edges.size())];
+          ref_st = ref->SetWeight(e.src, e.dst, e.type, weight);
+          csr_st = o.SetWeight(e.src, e.dst, e.type, weight);
+          break;
+        case 6:    // Re-weight, or
+        case 7: {  // undo, an overlay-added edge.
+          std::vector<EdgeRef> added = ref->AddedEdges();
+          if (!added.empty()) e = added[rng.NextBounded(added.size())];
+          if (rng.NextBool()) {
+            ref_st = ref->SetWeight(e.src, e.dst, e.type, weight);
+            csr_st = o.SetWeight(e.src, e.dst, e.type, weight);
+          } else {
+            ref_st = ref->RemoveEdge(e.src, e.dst, e.type);
+            csr_st = o.RemoveEdge(e.src, e.dst, e.type);
+          }
+          break;
+        }
+        case 8:  // Random re-weight: mostly a missing target.
+          ref_st = ref->SetWeight(e.src, e.dst, e.type, weight);
+          csr_st = o.SetWeight(e.src, e.dst, e.type, weight);
+          break;
+        default: {  // Out-of-range src or dst, any edit kind.
+          const NodeId bad = static_cast<NodeId>(n + rng.NextBounded(3));
+          (rng.NextBool() ? e.src : e.dst) = bad;
+          const uint64_t kind = rng.NextBounded(3);
+          if (kind == 0) {
+            ref_st = ref->AddEdge(e.src, e.dst, e.type, weight);
+            csr_st = o.AddEdge(e.src, e.dst, e.type, weight);
+          } else if (kind == 1) {
+            ref_st = ref->RemoveEdge(e.src, e.dst, e.type);
+            csr_st = o.RemoveEdge(e.src, e.dst, e.type);
+          } else {
+            ref_st = ref->SetWeight(e.src, e.dst, e.type, weight);
+            csr_st = o.SetWeight(e.src, e.dst, e.type, weight);
+          }
+          ASSERT_EQ(csr_st.code(), StatusCode::kInvalidArgument);
+          break;
+        }
+      }
+      ASSERT_EQ(ref_st.code(), csr_st.code()) << csr_st.ToString();
+      ++outcomes[which][csr_st.ok() ? 1 : 0];
+      ASSERT_NO_FATAL_FAILURE(ExpectSameEffectiveGraph(*ref, o));
     }
   }
+  EXPECT_GT(outcomes[0][1], 0);  // Clear
+  EXPECT_GT(outcomes[1][1], 0);  // fresh add
+  EXPECT_GT(outcomes[2][0], 0);  // duplicate add of a base edge
+  EXPECT_GT(outcomes[2][1], 0);  // un-remove
+  EXPECT_GT(outcomes[3][0], 0);  // double removal
+  EXPECT_GT(outcomes[3][1], 0);  // base removal
+  EXPECT_GT(outcomes[5][1], 0);  // base re-weight
+  EXPECT_GT(outcomes[6][1] + outcomes[7][1], 0);  // added edge edited
+  EXPECT_GT(outcomes[8][0], 0);  // missing SetWeight target
+  EXPECT_GT(outcomes[9][0], 0);  // out of range
 }
 
 TEST(CsrOverlayTest, ClearRestoresBaseAndAdjacencyOrder) {
